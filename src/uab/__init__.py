@@ -32,7 +32,9 @@ from .backends import (
     SimulatedWorld,
     TwoPointLaw,
     WorldConfig,
+    generate_wave,
     judge_classify,
+    judge_classify_all,
     simulated_generate,
 )
 from .core import (

@@ -5,21 +5,32 @@ The simulated world draws per-question success probabilities from a chosen
 law and emits samples whose token logprobs invert exactly back to those
 probabilities through the score-to-probability map, so the whole pipeline can
 be verified at desk scale without a served model.
+
+The backend protocol: a backend has a ``generate(request) -> BackendResponse``
+method that raises :class:`BackendError` when a request fails for good, and may
+declare ``max_in_flight``, the number of ``generate`` calls it serves at once.
+:func:`generate_wave` sends a batch of independent requests within that bound;
+a backend that declares no ``max_in_flight`` is called serially.
 """
 
 from __future__ import annotations
 
+import email.utils
 import hashlib
 import json
 import logging
 import math
+import os
 import re
+import tempfile
 import threading
 import time
 from dataclasses import dataclass
+from datetime import datetime, timezone
 from enum import Enum
+from functools import partial
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -225,6 +236,10 @@ class SimulatedBackend:
     all samples of a question reuse one shared correctness draw.
     """
 
+    #: CPU-bound and in-process: concurrent calls would only contend for the
+    #: interpreter lock, so waves run serially.
+    max_in_flight = 1
+
     def __init__(self, world: SimulatedWorld, run_seed: int = 0):
         if run_seed < 0:
             raise ValidationError("run_seed must be >= 0")
@@ -341,13 +356,24 @@ def simulated_generate(
 
 
 class ResponseCache:
-    """Content-addressed on-disk store of per-sample generation payloads."""
+    """Content-addressed on-disk store of per-sample generation payloads.
+
+    Safe for concurrent use by the threads of one process.
+    """
 
     def __init__(self, directory: Union[str, Path]):
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self.hits = 0
         self.misses = 0
+        self._counter_lock = threading.Lock()
+
+    def _count(self, hit: bool) -> None:
+        with self._counter_lock:
+            if hit:
+                self.hits += 1
+            else:
+                self.misses += 1
 
     @staticmethod
     def make_key(
@@ -371,24 +397,32 @@ class ResponseCache:
     def get(self, key: str) -> Optional[dict]:
         path = self._path(key)
         if not path.exists():
-            self.misses += 1
+            self._count(hit=False)
             return None
         try:
             payload = json.loads(path.read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError) as exc:
             logger.warning("cache entry %s unreadable (%s); treating as miss", key, exc)
-            self.misses += 1
+            self._count(hit=False)
             return None
-        self.hits += 1
+        self._count(hit=True)
         return payload
 
     def put(self, key: str, payload: dict) -> Path:
         path = self._path(key)
         if path.exists():
             logger.info("cache entry %s overwritten (last write wins)", key)
-        tmp = path.with_suffix(".tmp")
-        tmp.write_text(json.dumps(payload, ensure_ascii=True), encoding="utf-8")
-        tmp.replace(path)
+        text = json.dumps(payload, ensure_ascii=True)
+        # a temp file of its own per writer: concurrent puts of one key each
+        # replace the entry whole, and the last replace wins
+        fd, tmp = tempfile.mkstemp(dir=self.directory, prefix=f"{key}.", suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except OSError:
+            Path(tmp).unlink(missing_ok=True)
+            raise
         return path
 
 
@@ -406,7 +440,12 @@ class HttpBackendConfig:
     max_retries: int = 5
     backoff_seconds: float = 0.5
     timeout_seconds: float = 120.0
+    #: Requests sent at once, both within one wave and in total.
     max_in_flight: int = 8
+
+    def __post_init__(self):
+        if self.max_in_flight < 1:
+            raise ValidationError("max_in_flight must be >= 1")
 
     @classmethod
     def from_env(cls, environ: Mapping[str, str]) -> "HttpBackendConfig":
@@ -420,19 +459,48 @@ class HttpBackendConfig:
 _FINISH_MAP = {"stop": FinishReason.STOP, "length": FinishReason.LENGTH}
 
 
+def _retry_after_seconds(value: str) -> Optional[float]:
+    """Wait asked for by a Retry-After header, in either of its forms
+    (delay-seconds or an HTTP-date); None when the value is neither."""
+    try:
+        seconds = float(value)
+    except ValueError:
+        pass
+    else:
+        return None if math.isnan(seconds) else max(seconds, 0.0)
+    try:
+        when = email.utils.parsedate_to_datetime(value)
+    except (TypeError, ValueError, IndexError):
+        return None
+    if when.tzinfo is None:
+        when = when.replace(tzinfo=timezone.utc)
+    return max((when - datetime.now(timezone.utc)).total_seconds(), 0.0)
+
+
 class HttpBackend:
     """Client for ``POST /v1/chat/completions`` with retries and replay cache.
 
-    Safe for concurrent use; a bounded semaphore caps in-flight requests.
+    Safe for concurrent use; a bounded semaphore caps in-flight requests at
+    ``config.max_in_flight``, which is also the width of its waves.
     """
 
     def __init__(self, config: HttpBackendConfig, cache: Optional[ResponseCache] = None):
         import requests
+        from requests.adapters import HTTPAdapter
 
         self.config = config
         self.cache = cache
         self._session = requests.Session()
+        # the default pool keeps 10 connections per host; keep one per
+        # in-flight request so a wider wave reuses its connections too
+        adapter = HTTPAdapter(pool_maxsize=config.max_in_flight)
+        self._session.mount("http://", adapter)
+        self._session.mount("https://", adapter)
         self._semaphore = threading.BoundedSemaphore(config.max_in_flight)
+
+    @property
+    def max_in_flight(self) -> int:
+        return self.config.max_in_flight
 
     # -- request plumbing ---------------------------------------------------
 
@@ -481,10 +549,10 @@ class HttpBackend:
                     raise BackendError(last_error)
                 retry_after = resp.headers.get("Retry-After")
                 if retry_after is not None:
-                    try:
-                        delay = float(retry_after)
-                    except ValueError:
+                    delay = _retry_after_seconds(retry_after)
+                    if delay is None:
                         delay = self.config.backoff_seconds * (2**attempt)
+                    delay = min(delay, self.config.timeout_seconds)
                     logger.warning("rate limited; honoring Retry-After=%s", retry_after)
                     if attempt < self.config.max_retries:
                         time.sleep(delay)
@@ -567,21 +635,70 @@ class HttpBackend:
         return BackendResponse(samples=list(outputs), logprobs_missing=logprobs_missing)
 
 
+def _generate_or_error(backend, request: BackendRequest) -> Union[BackendResponse, BackendError]:
+    try:
+        return backend.generate(request)
+    except BackendError as exc:
+        return exc
+
+
+def generate_wave(
+    backend, requests: Iterable[BackendRequest]
+) -> Iterator[Tuple[BackendRequest, Union[BackendResponse, BackendError]]]:
+    """Send independent requests; yield ``(request, response)`` in request order.
+
+    A request that fails with :class:`BackendError` yields the error in place
+    of its response, so a failure touches its own request only; any other
+    exception propagates. When ``backend.max_in_flight`` is 1 or undeclared,
+    each request is drawn from ``requests``, sent and yielded before the next
+    one is drawn. Otherwise the whole wave is sent on a thread pool of that
+    width that lives for this call. The yielded sequence is the same either way.
+    """
+    width = getattr(backend, "max_in_flight", 1)
+    if width <= 1:
+        for request in requests:
+            yield request, _generate_or_error(backend, request)
+        return
+    from concurrent.futures import ThreadPoolExecutor
+
+    batch = list(requests)
+    if not batch:
+        return
+    with ThreadPoolExecutor(max_workers=min(width, len(batch)), thread_name_prefix="uab-wave") as pool:
+        yield from zip(batch, pool.map(partial(_generate_or_error, backend), batch))
+
+
+def _judge_request(question: QuestionRecord) -> BackendRequest:
+    return BackendRequest(
+        question_id=question.id,
+        prompt=JUDGE_PROMPT_TEMPLATE.format(question=question.prompt),
+        sample_count=1,
+        max_tokens=16,
+        want_logprobs=False,
+    )
+
+
 def judge_classify(question: QuestionRecord, backend) -> JudgeLabel:
     """Ask the backend to rate one question easy or hard.
 
     Parses the first easy/hard token in the reply; anything else conservatively
     counts as hard, which routes more budget toward the question.
     """
-    prompt = JUDGE_PROMPT_TEMPLATE.format(question=question.prompt)
-    request = BackendRequest(
-        question_id=question.id,
-        prompt=prompt,
-        sample_count=1,
-        max_tokens=16,
-        want_logprobs=False,
-    )
-    response = backend.generate(request)
+    return _judge_label(backend.generate(_judge_request(question)))
+
+
+def judge_classify_all(questions: Sequence[QuestionRecord], backend) -> List[JudgeLabel]:
+    """:func:`judge_classify` for every question, sent as one wave; labels come
+    back in question order. A request that fails raises its :class:`BackendError`."""
+    labels = []
+    for _request, outcome in generate_wave(backend, map(_judge_request, questions)):
+        if isinstance(outcome, BackendError):
+            raise outcome
+        labels.append(_judge_label(outcome))
+    return labels
+
+
+def _judge_label(response: BackendResponse) -> JudgeLabel:
     text = response.samples[0].text if response.samples else ""
     match = re.search(r"\b(easy|hard)\b", text.lower())
     if match is None:

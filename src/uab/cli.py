@@ -16,13 +16,19 @@ import sys
 from pathlib import Path
 from typing import Dict, List, Optional
 
-from . import config as config_mod
 from .allocation import ExitKind, ExitMode, ThresholdExitConfig, apply_threshold_exits, verify_kkt
-from .backends import HttpBackend, HttpBackendConfig, SimulatedBackend, SimulatedWorld, judge_classify
+from .backends import judge_classify_all
 from .config import build_experiment_config, env_overrides, load_config_file, merge_settings
 from .core import ValidationError, coverage_objective
 from .curves import min_budget_curve
-from .harness import MetricReport, PartialRunError, run_experiment, verify_suite
+from .harness import (
+    MetricReport,
+    PartialRunError,
+    build_backend,
+    experiment_inputs,
+    run_experiment,
+    verify_suite,
+)
 from .pipeline import Policy
 from .signals import score_to_prob
 
@@ -198,26 +204,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_judge(args: argparse.Namespace) -> int:
-    cfg = _merged_settings(args)
-    if cfg["backend.kind"] == "sim":
-        world = SimulatedWorld(config_mod.world_config_from_settings(cfg))
-        backend = SimulatedBackend(world, run_seed=0)
-        questions = world.questions
-    else:
-        questions_path = cfg.get("run.questions", "")
-        if not questions_path:
-            raise ValidationError("judge over http needs --questions")
-        questions = config_mod.load_questions_jsonl(Path(questions_path))
-        base_url = cfg.get("http.base_url") or os.environ.get("UAB_API_BASE", "")
-        model = cfg.get("http.model") or os.environ.get("UAB_MODEL", "")
-        backend = HttpBackend(
-            HttpBackendConfig(base_url=base_url, model=model,
-                              api_key=os.environ.get("UAB_API_KEY", ""))
-        )
-    lines = []
-    for q in questions:
-        label = judge_classify(q, backend)
-        lines.append(json.dumps({"id": q.id, "label": label.value}, separators=(",", ":")))
+    experiment = build_experiment_config(_merged_settings(args), os.environ)
+    world, questions = experiment_inputs(experiment)
+    backend = build_backend(experiment, world, seed=0)
+    labels = judge_classify_all(questions, backend)
+    lines = [
+        json.dumps({"id": q.id, "label": label.value}, separators=(",", ":"))
+        for q, label in zip(questions, labels)
+    ]
     if args.out_file:
         args.out_file.parent.mkdir(parents=True, exist_ok=True)
         args.out_file.write_text("\n".join(lines) + "\n", encoding="utf-8")

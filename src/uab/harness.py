@@ -142,7 +142,15 @@ def append_aggregate_row(report: MetricReport, path: Path) -> None:
         )
 
 
-def _build_backend(config: ExperimentConfig, world: Optional[SimulatedWorld], seed: int):
+def experiment_inputs(config: ExperimentConfig) -> Tuple[Optional[SimulatedWorld], List[QuestionRecord]]:
+    """The simulated world (sim backend only) and the questions it runs over."""
+    world = SimulatedWorld(config.world) if config.backend_kind == "sim" else None
+    questions = world.questions if world is not None else list(config.questions)
+    return world, questions
+
+
+def build_backend(config: ExperimentConfig, world: Optional[SimulatedWorld], seed: int):
+    """The configured backend for one seed; the HTTP one caches under ``cache_dir`` if set."""
     if config.backend_kind == "sim":
         return SimulatedBackend(world, run_seed=seed)
     cache = ResponseCache(config.cache_dir) if config.cache_dir else None
@@ -159,8 +167,7 @@ def run_experiment(config: ExperimentConfig) -> MetricReport:
     """
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    world = SimulatedWorld(config.world) if config.backend_kind == "sim" else None
-    questions = world.questions if world is not None else list(config.questions)
+    world, questions = experiment_inputs(config)
     if len(questions) != config.pipeline.budget.m_questions:
         raise ValidationError(
             f"budget covers {config.pipeline.budget.m_questions} questions, "
@@ -177,7 +184,7 @@ def run_experiment(config: ExperimentConfig) -> MetricReport:
     completed = 0
 
     for seed in config.seeds:
-        backend = _build_backend(config, world, seed)
+        backend = build_backend(config, world, seed)
         pipeline_cfg = dataclasses.replace(config.pipeline, rng_seed=seed)
         try:
             results = run_two_phase(questions, backend, pipeline_cfg)

@@ -4,7 +4,8 @@ Phase 1 gives every question K samples (K=1 except for vote entropy) and
 extracts a difficulty signal from them at no extra cost. An allocation policy
 then spends the remaining budget, Phase 2 draws the extra samples, and the
 final answer is a majority vote over everything generated, first round
-included.
+included. Each phase's requests are independent and go to the backend as one
+wave (:func:`~uab.backends.generate_wave`).
 """
 
 from __future__ import annotations
@@ -14,13 +15,21 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
 from . import signals
 from .allocation import ThresholdExitConfig, apply_threshold_exits, greedy_allocate
-from .backends import BackendError, BackendRequest, JudgeLabel, VCS_INSTRUCTION, judge_classify
+from .backends import (
+    BackendError,
+    BackendRequest,
+    BackendResponse,
+    JudgeLabel,
+    VCS_INSTRUCTION,
+    generate_wave,
+    judge_classify_all,
+)
 from .core import (
     AllocationVector,
     BudgetSpec,
@@ -308,35 +317,22 @@ def allocate_baseline(
 # ---------------------------------------------------------------------------
 
 
-def _request_records(
-    backend,
+def _generation_records(
     question: QuestionRecord,
-    prompt: str,
-    n: int,
-    first_index: int,
+    request: BackendRequest,
+    outcome: Union[BackendResponse, BackendError],
     phase: Phase,
-    config: PipelineConfig,
-    want_logprobs: bool,
 ) -> List[GenerationRecord]:
-    request = BackendRequest(
-        question_id=question.id,
-        prompt=prompt,
-        sample_count=n,
-        sampling_temperature=config.sampling_temperature,
-        max_tokens=config.max_tokens,
-        want_logprobs=want_logprobs,
-        first_sample_index=first_index,
-    )
-    try:
-        response = backend.generate(request)
-    except BackendError as exc:
-        logger.warning("generation failed for %s (%s); recording error samples", question.id, exc)
+    """Parsed records of one request's samples; a failed request gives error samples."""
+    first_index = request.first_sample_index
+    if isinstance(outcome, BackendError):
+        logger.warning("generation failed for %s (%s); recording error samples", question.id, outcome)
         return [
             GenerationRecord(question.id, phase, first_index + i, "", None, (), FinishReason.ERROR)
-            for i in range(n)
+            for i in range(request.sample_count)
         ]
     records = []
-    for i, sample in enumerate(response.samples):
+    for i, sample in enumerate(outcome.samples):
         parsed = None
         if sample.finish_reason != FinishReason.ERROR:
             parsed = parse_answer(sample.text, question.task_kind)
@@ -367,6 +363,9 @@ def run_two_phase(
     Phase 2 draws the extras, and the majority vote runs over all samples of
     both phases. Samples that errored abstain from the vote; a question whose
     samples all abstained gets the empty-string sentinel and counts incorrect.
+    Within a phase, requests go out as one wave of up to the backend's
+    ``max_in_flight``; records are assembled in question order, so results do
+    not depend on that width.
     """
     if not questions:
         raise ValidationError("need at least one question")
@@ -374,24 +373,31 @@ def run_two_phase(
         raise ValidationError(
             f"budget covers {config.budget.m_questions} questions, got {len(questions)}"
         )
-    seen = set()
+    by_id: Dict[str, QuestionRecord] = {}
     for q in questions:
-        if q.id in seen:
+        if q.id in by_id:
             raise ValidationError(f"duplicate question id {q.id!r}")
-        seen.add(q.id)
+        by_id[q.id] = q
 
     k = config.phase1_samples_k
     want_logprobs = config.signal_kind in LOGPROB_SIGNALS
     vcs_mode = config.signal_kind == SignalKind.VCS
 
-    records: Dict[str, List[GenerationRecord]] = {}
-    prompts: Dict[str, str] = {}
-    for q in questions:
-        prompt = (q.prompt + "\n\n" + VCS_INSTRUCTION) if vcs_mode else q.prompt
-        prompts[q.id] = prompt
-        records[q.id] = _request_records(
-            backend, q, prompt, k, 0, Phase.PHASE1, config, want_logprobs
+    def request(q: QuestionRecord, n: int, first_index: int) -> BackendRequest:
+        return BackendRequest(
+            question_id=q.id,
+            prompt=(q.prompt + "\n\n" + VCS_INSTRUCTION) if vcs_mode else q.prompt,
+            sample_count=n,
+            sampling_temperature=config.sampling_temperature,
+            max_tokens=config.max_tokens,
+            want_logprobs=want_logprobs,
+            first_sample_index=first_index,
         )
+
+    records: Dict[str, List[GenerationRecord]] = {}
+    for req, outcome in generate_wave(backend, (request(q, k, 0) for q in questions)):
+        qid = req.question_id
+        records[qid] = _generation_records(by_id[qid], req, outcome, Phase.PHASE1)
 
     estimates = estimate_difficulties(
         questions, records, config.signal_kind, config.budget.temperature, external_probs
@@ -403,18 +409,14 @@ def run_two_phase(
     else:
         judge_labels = None
         if config.policy == Policy.LLM_JUDGE:
-            judge_labels = {q.id: judge_classify(q, backend) for q in questions}
+            judge_labels = dict(zip(by_id, judge_classify_all(questions, backend)))
         rng = np.random.default_rng(config.rng_seed)
         alloc = allocate_baseline(config.policy, questions, judge_labels, config.budget, rng)
 
-    for q in questions:
-        extra = alloc.extras.get(q.id, 0)
-        if extra > 0:
-            records[q.id].extend(
-                _request_records(
-                    backend, q, prompts[q.id], extra, k, Phase.PHASE2, config, want_logprobs
-                )
-            )
+    phase2 = (request(q, alloc.extras[q.id], k) for q in questions if alloc.extras.get(q.id, 0) > 0)
+    for req, outcome in generate_wave(backend, phase2):
+        qid = req.question_id
+        records[qid].extend(_generation_records(by_id[qid], req, outcome, Phase.PHASE2))
 
     results = []
     for q in questions:

@@ -1,7 +1,10 @@
+import email.utils
 import json
 import logging
 import math
+import sys
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
@@ -10,6 +13,7 @@ import pytest
 from uab.backends import (
     BackendError,
     BackendRequest,
+    BackendResponse,
     BetaLaw,
     FixedProbs,
     HttpBackend,
@@ -21,10 +25,14 @@ from uab.backends import (
     TwoPointLaw,
     UnknownQuestionError,
     WorldConfig,
+    generate_wave,
     judge_classify,
+    judge_classify_all,
     simulated_generate,
 )
-from uab.core import FinishReason, ValidationError
+from uab.core import BudgetSpec, FinishReason, QuestionRecord, ValidationError
+from uab.harness import result_json_line
+from uab.pipeline import PipelineConfig, Policy, run_two_phase
 from uab.signals import anll, score_to_prob
 
 
@@ -226,6 +234,59 @@ class TestResponseCache:
         # parameter order does not matter
         assert ResponseCache.make_key("http://e", "m", "prompt", {"max_tokens": 8, "temperature": 0.9}, 0) == k0
 
+    @staticmethod
+    def _hammer(target, threads=8):
+        """Run ``target(i)`` on ``threads`` threads released together, with a
+        short switch interval; returns the exceptions they raised."""
+        barrier = threading.Barrier(threads)
+        errors = []
+
+        def run(i):
+            try:
+                barrier.wait(timeout=5)
+                target(i)
+            except Exception as exc:
+                errors.append(exc)
+
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=run, args=(i,)) for i in range(threads)]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=30)
+        finally:
+            sys.setswitchinterval(old_interval)
+        assert not any(w.is_alive() for w in workers)
+        return errors
+
+    def test_concurrent_puts_of_one_key(self, tmp_path):
+        cache = ResponseCache(tmp_path)
+        key = ResponseCache.make_key("e", "m", "p", {}, 3)
+
+        def put(i):
+            for _ in range(20):
+                cache.put(key, {"text": f"writer {i}"})
+
+        assert self._hammer(put) == []
+        assert cache.get(key)["text"].startswith("writer ")
+        assert list(tmp_path.glob("*.tmp")) == []
+
+    def test_counters_under_concurrent_gets(self, tmp_path):
+        cache = ResponseCache(tmp_path)
+        present = ResponseCache.make_key("e", "m", "p", {}, 4)
+        absent = ResponseCache.make_key("e", "m", "p", {}, 5)
+        cache.put(present, {"text": "x"})
+
+        def get(i):
+            for _ in range(250):
+                cache.get(present)
+                cache.get(absent)
+
+        assert self._hammer(get) == []
+        assert (cache.hits, cache.misses) == (8 * 250, 8 * 250)
+
 
 # ---------------------------------------------------------------------------
 # HTTP contract tests against a protocol-compatible local stub
@@ -234,10 +295,14 @@ class TestResponseCache:
 
 class _StubState:
     def __init__(self):
+        self.lock = threading.Lock()
         self.fail_statuses = []
         self.with_logprobs = True
         self.requests = []
         self.retry_after = None
+        self.delay_s = 0.0
+        self.in_flight = 0
+        self.peak_in_flight = 0
 
 
 def _make_stub_handler(state: _StubState):
@@ -248,25 +313,42 @@ def _make_stub_handler(state: _StubState):
         def do_POST(self):
             length = int(self.headers["Content-Length"])
             body = json.loads(self.rfile.read(length))
-            state.requests.append((self.path, body))
-            if state.fail_statuses:
-                status = state.fail_statuses.pop(0)
+            with state.lock:
+                state.requests.append((self.path, body))
+                status = state.fail_statuses.pop(0) if state.fail_statuses else None
+                state.in_flight += 1
+                state.peak_in_flight = max(state.peak_in_flight, state.in_flight)
+            try:
+                if state.delay_s:
+                    time.sleep(state.delay_s)
+                self._reply(body, status)
+            finally:
+                with state.lock:
+                    state.in_flight -= 1
+
+        def _reply(self, body, status):
+            if status is not None:
                 self.send_response(status)
                 if state.retry_after is not None:
                     self.send_header("Retry-After", str(state.retry_after))
                 self.end_headers()
                 return
+            # replies are a pure function of the prompt and the choice index
+            prompt = body["messages"][0]["content"]
             n = body.get("n", 1)
             choices = []
             for i in range(n):
                 choice = {
                     "index": i,
-                    "message": {"role": "assistant", "content": f"The answer is \\boxed{{{i}}}."},
+                    "message": {
+                        "role": "assistant",
+                        "content": f"The answer is \\boxed{{{(len(prompt) + i) % 3}}}.",
+                    },
                     "finish_reason": "stop",
                 }
                 if state.with_logprobs and body.get("logprobs"):
                     choice["logprobs"] = {
-                        "content": [{"logprob": -0.1 * (i + 1)}, {"logprob": -0.2}]
+                        "content": [{"logprob": -0.1 * (i + 1)}, {"logprob": -0.05 * (len(prompt) % 9)}]
                     }
                 choices.append(choice)
             payload = json.dumps({"choices": choices}).encode()
@@ -283,20 +365,31 @@ def _make_stub_handler(state: _StubState):
 def stub_server():
     state = _StubState()
     server = ThreadingHTTPServer(("127.0.0.1", 0), _make_stub_handler(state))
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True)
     thread.start()
     try:
         yield f"http://127.0.0.1:{server.server_port}", state
     finally:
         server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+        assert not thread.is_alive()
 
 
-def _http_backend(url, cache=None, retries=3):
+def _http_backend(url, cache=None, retries=3, max_in_flight=8, timeout=5.0):
     cfg = HttpBackendConfig(
         base_url=url, model="stub-model", api_key="k", max_retries=retries,
-        backoff_seconds=0.01, timeout_seconds=5.0,
+        backoff_seconds=0.01, timeout_seconds=timeout, max_in_flight=max_in_flight,
     )
     return HttpBackend(cfg, cache=cache)
+
+
+@pytest.fixture
+def recorded_sleeps(monkeypatch):
+    """Waits asked of ``time.sleep``, which returns at once."""
+    sleeps = []
+    monkeypatch.setattr(time, "sleep", sleeps.append)
+    return sleeps
 
 
 class TestHttpBackend:
@@ -357,6 +450,45 @@ class TestHttpBackend:
         ]
         assert cache.hits == 2
 
+    def test_retry_after_delay_seconds(self, stub_server, recorded_sleeps):
+        url, state = stub_server
+        state.fail_statuses = [429]
+        state.retry_after = "1.5"
+        resp = _http_backend(url).generate(BackendRequest("q1", "p", 1))
+        assert len(resp.samples) == 1
+        assert recorded_sleeps == [1.5]
+
+    def test_retry_after_http_date(self, stub_server, recorded_sleeps):
+        url, state = stub_server
+        state.fail_statuses = [503]
+        state.retry_after = email.utils.formatdate(time.time() + 3, usegmt=True)
+        resp = _http_backend(url).generate(BackendRequest("q1", "p", 1))
+        assert len(resp.samples) == 1
+        assert len(recorded_sleeps) == 1
+        # HTTP-dates have one-second resolution
+        assert 1.0 < recorded_sleeps[0] <= 3.0
+
+    def test_retry_after_unparsable_backs_off(self, stub_server, recorded_sleeps):
+        url, state = stub_server
+        state.fail_statuses = [429]
+        state.retry_after = "soon"
+        _http_backend(url).generate(BackendRequest("q1", "p", 1))
+        assert recorded_sleeps == [0.01]  # backoff_seconds * 2**0
+
+    @pytest.mark.parametrize("form", ["seconds", "http-date"])
+    def test_retry_after_capped_at_timeout(self, stub_server, recorded_sleeps, form):
+        url, state = stub_server
+        state.fail_statuses = [429, 429]
+        state.retry_after = "3600" if form == "seconds" else email.utils.formatdate(
+            time.time() + 3600, usegmt=True
+        )
+        _http_backend(url, timeout=2.0).generate(BackendRequest("q1", "p", 1))
+        assert recorded_sleeps == [2.0, 2.0]
+
+    def test_max_in_flight_must_be_positive(self):
+        with pytest.raises(ValidationError):
+            HttpBackendConfig(base_url="http://e", model="m", max_in_flight=0)
+
     def test_client_error_no_retry(self, stub_server):
         url, state = stub_server
         state.fail_statuses = [404]
@@ -364,3 +496,102 @@ class TestHttpBackend:
         with pytest.raises(BackendError, match="404"):
             backend.generate(BackendRequest("q1", "p", 1))
         assert len(state.requests) == 1
+
+
+# ---------------------------------------------------------------------------
+# Phase waves against the stub
+# ---------------------------------------------------------------------------
+
+
+def _wave_questions(m=8):
+    return [
+        QuestionRecord(id=f"w{i}", prompt=f"Question {i}: " + "x" * i, gold_answer=str(i % 3))
+        for i in range(m)
+    ]
+
+
+def _result_lines(questions, backend, policy=Policy.UAB, n=3):
+    config = PipelineConfig(budget=BudgetSpec(n, len(questions)), policy=policy)
+    return [result_json_line(r) for r in run_two_phase(questions, backend, config)]
+
+
+class _FailingFor:
+    """Backend wrapper that fails every request of one question."""
+
+    def __init__(self, inner, question_id):
+        self.inner = inner
+        self.question_id = question_id
+        self.max_in_flight = inner.max_in_flight
+
+    def generate(self, request):
+        if request.question_id == self.question_id:
+            raise BackendError("injected failure")
+        return self.inner.generate(request)
+
+
+class TestPhaseWaves:
+    def test_results_do_not_depend_on_width(self, stub_server):
+        url, state = stub_server
+        state.delay_s = 0.02
+        questions = _wave_questions()
+        serial = _result_lines(questions, _http_backend(url, max_in_flight=1))
+        serial_posts = len(state.requests)
+        state.peak_in_flight = 0
+        wide = _result_lines(questions, _http_backend(url, max_in_flight=4))
+        assert wide == serial
+        assert len(state.requests) == 2 * serial_posts
+        assert state.peak_in_flight >= 2
+
+    def test_failure_touches_its_own_question_only(self, stub_server):
+        url, state = stub_server
+        state.delay_s = 0.01
+        questions = _wave_questions()
+        clean = _result_lines(questions, _http_backend(url, max_in_flight=1), Policy.UNIFORM)
+        state.peak_in_flight = 0
+        failing = _FailingFor(_http_backend(url, max_in_flight=4), "w3")
+        flaky = _result_lines(questions, failing, Policy.UNIFORM)
+        assert state.peak_in_flight >= 2
+        assert flaky[:3] + flaky[4:] == clean[:3] + clean[4:]
+        failed = json.loads(flaky[3])
+        assert failed["final_answer"] == ""
+        assert failed["correct"] is False
+        assert failed["samples_used"] == 3
+        assert failed["p_i"] == 0.5  # no usable Phase-1 logprobs
+
+    def test_generate_wave_yields_errors_in_request_order(self, stub_server):
+        url, state = stub_server
+        state.delay_s = 0.01
+        requests = [BackendRequest(f"w{i}", f"prompt {i}", 1) for i in range(6)]
+        outcomes = list(generate_wave(_FailingFor(_http_backend(url, max_in_flight=3), "w2"), requests))
+        assert [r for r, _ in outcomes] == requests
+        assert [isinstance(o, BackendError) for _, o in outcomes] == [False, False, True, False, False, False]
+        assert all(isinstance(o, BackendResponse) for _, o in outcomes if not isinstance(o, BackendError))
+
+    def test_judge_wave_raises_a_failed_request(self, stub_server):
+        url, _state = stub_server
+        failing = _FailingFor(_http_backend(url, max_in_flight=4), "w1")
+        with pytest.raises(BackendError, match="injected"):
+            judge_classify_all(_wave_questions(4), failing)
+
+    def test_cli_judge_over_http_uses_cache_dir(self, stub_server, tmp_path):
+        from uab.cli import main
+
+        url, state = stub_server
+        questions = tmp_path / "questions.jsonl"
+        questions.write_text(
+            "".join(json.dumps({"id": f"j{i}", "prompt": f"Is {i} prime?"}) + "\n" for i in range(5))
+        )
+        cfg = tmp_path / "judge.cfg"
+        cfg.write_text(
+            f"http.base_url = {url}\nhttp.model = stub-model\nhttp.cache_dir = {tmp_path / 'cache'}\n"
+        )
+        outs = [tmp_path / "first.jsonl", tmp_path / "second.jsonl"]
+        for out in outs:
+            rc = main(["judge", "--config", str(cfg), "--backend", "http",
+                       "--questions", str(questions), "--out", str(out)])
+            assert rc == 0
+            assert len(state.requests) == 5  # the second run replays from the cache
+        assert outs[0].read_text() == outs[1].read_text()
+        rows = [json.loads(line) for line in outs[0].read_text().splitlines()]
+        assert [r["id"] for r in rows] == [f"j{i}" for i in range(5)]
+        assert {body["max_tokens"] for _, body in state.requests} == {16}

@@ -5,6 +5,7 @@ import pytest
 
 from uab.allocation import ExitKind, ExitMode, ThresholdExitConfig
 from uab.backends import (
+    BackendRequest,
     BackendResponse,
     FixedProbs,
     JudgeLabel,
@@ -12,6 +13,7 @@ from uab.backends import (
     SimulatedBackend,
     SimulatedWorld,
     WorldConfig,
+    generate_wave,
 )
 from uab.core import (
     BudgetSpec,
@@ -288,6 +290,28 @@ class TestRunTwoPhase:
         assert by_id["q00001"].correct is False
         # failed samples still count toward the issued budget
         assert by_id["q00001"].samples_used == 2
+
+    def test_serial_backend_never_starts_a_pool(self, monkeypatch):
+        import concurrent.futures
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("thread pool created")
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse)
+        for policy in (Policy.UAB, Policy.LLM_JUDGE):
+            world, backend, budget = sim_setup([0.9, 0.5, 0.1], n_per_question=3)
+            results = run_two_phase(world.questions, backend, PipelineConfig(budget=budget, policy=policy))
+            assert sum(r.samples_used for r in results) == 9
+
+        class Wide:
+            max_in_flight = 2
+
+            def generate(self, request):
+                return backend.generate(request)
+
+        # the patch does stop a backend that declares a wider wave
+        with pytest.raises(AssertionError, match="thread pool"):
+            list(generate_wave(Wide(), [BackendRequest("q00000", "p", 1)]))
 
     def test_determinism_byte_for_byte(self):
         from uab.harness import result_json_line
