@@ -35,7 +35,6 @@ from .backends import (
     generate_wave,
     judge_classify,
     judge_classify_all,
-    simulated_generate,
 )
 from .core import (
     AllocationVector,

@@ -36,8 +36,6 @@ import numpy as np
 
 from .core import (
     FinishReason,
-    GenerationRecord,
-    Phase,
     QuestionRecord,
     TaskKind,
     ValidationError,
@@ -227,6 +225,30 @@ _LANE_JUDGE = 2
 _MASK64 = (1 << 64) - 1
 
 
+def _sim_signal(perceived_p: float, world_temperature: float) -> Tuple[Tuple[float, ...], int]:
+    """Token logprobs and verbal confidence of a sample whose question the
+    model perceives as solvable with probability ``perceived_p``."""
+    noisy_p = min(max(perceived_p, SIM_PROB_FLOOR), 1.0)
+    anll_value = -world_temperature * math.log(noisy_p)
+    confidence = int(round(10 * min(max(perceived_p, 0.0), 1.0)))
+    confidence = min(10, max(1, confidence))
+    return (-anll_value,) * SIM_TOKEN_COUNT, confidence
+
+
+@dataclass(frozen=True)
+class _SimQuestion:
+    """What a question's samples share: its stream index, p*, gold answer,
+    its shared-draw mode, and in a noiseless world its signal."""
+
+    index: int
+    p_star: float
+    gold: str
+    shared_mode: bool
+    shared_outcome: bool
+    #: ``_sim_signal(p_star)``, or None when each sample draws its own noise.
+    signal: Optional[Tuple[Tuple[float, ...], int]]
+
+
 class SimulatedBackend:
     """Deterministic Bernoulli world behind the generation protocol.
 
@@ -234,10 +256,18 @@ class SimulatedBackend:
     distractor; synthesized token logprobs encode the (optionally noised)
     success probability through the world's temperature. With probability rho
     all samples of a question reuse one shared correctness draw.
+
+    Every draw comes from the Philox stream at counter
+    ``[question, lane, index, 0]`` under the 128-bit key
+    ``(world seed, run seed)``. One bit generator serves all streams: it is
+    reset to a stream's counter, with an empty output buffer, before the
+    stream is read, which gives the draws of a fresh ``Philox`` at that
+    counter without building one.
     """
 
-    #: CPU-bound and in-process: concurrent calls would only contend for the
-    #: interpreter lock, so waves run serially.
+    #: The one bit generator is shared by every call, so calls must not
+    #: overlap; and being CPU-bound and in-process, concurrent calls would
+    #: only contend for the interpreter lock anyway. Waves run serially.
     max_in_flight = 1
 
     def __init__(self, world: SimulatedWorld, run_seed: int = 0):
@@ -247,54 +277,77 @@ class SimulatedBackend:
         self.run_seed = run_seed
         self.generation_samples = 0
         self.judge_calls = 0
-        self._mode_cache: Dict[str, Tuple[bool, bool]] = {}
+        self._questions: Dict[str, _SimQuestion] = {}
+        key = ((world.config.rng_seed & _MASK64) << 64) | (run_seed & _MASK64)
+        self._bits = np.random.Philox(key=key)
+        self._generator = np.random.Generator(self._bits)
+        # a fresh Philox's state at counter 0; _rng swaps in each stream's
+        # counter. buffer_pos 4 marks the buffer empty, so the first draw
+        # computes the stream's first block instead of reading a stale one.
+        self._stream_state = {
+            "bit_generator": "Philox",
+            "state": {
+                "counter": [0, 0, 0, 0],
+                "key": [int(word) for word in self._bits.state["state"]["key"]],
+            },
+            "buffer": [0, 0, 0, 0],
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
 
     def _rng(self, question_index: int, lane: int, index: int) -> np.random.Generator:
-        key = ((self.world.config.rng_seed & _MASK64) << 64) | (self.run_seed & _MASK64)
-        bits = np.random.Philox(key=key, counter=[question_index, lane, index, 0])
-        return np.random.Generator(bits)
+        """The shared generator, placed at the start of stream
+        ``(question_index, lane, index)``; valid until the next call."""
+        self._stream_state["state"]["counter"] = [question_index, lane, index, 0]
+        self._bits.state = self._stream_state
+        return self._generator
 
-    def _question_mode(self, qid: str) -> Tuple[bool, bool]:
-        """(shared-draw mode active, shared correctness outcome)."""
-        cached = self._mode_cache.get(qid)
+    def _question(self, qid: str) -> _SimQuestion:
+        cached = self._questions.get(qid)
         if cached is not None:
             return cached
+        if qid not in self.world.index:
+            raise UnknownQuestionError(qid)
+        cfg = self.world.config
         idx = self.world.index[qid]
+        p_star = self.world.p_star[qid]
         rng = self._rng(idx, _LANE_QUESTION, 0)
         u_mode = rng.random()
         u_shared = rng.random()
-        shared = u_mode < self.world.config.correlation_rho
-        mode = (shared, bool(u_shared < self.world.p_star[qid]))
-        self._mode_cache[qid] = mode
-        return mode
+        question = _SimQuestion(
+            index=idx,
+            p_star=p_star,
+            gold=self.world.gold[qid],
+            shared_mode=u_mode < cfg.correlation_rho,
+            shared_outcome=bool(u_shared < p_star),
+            signal=None if cfg.signal_noise_sigma > 0 else _sim_signal(p_star, cfg.world_temperature),
+        )
+        self._questions[qid] = question
+        return question
 
     def sample_outcome(self, qid: str, sample_index: int) -> SampleOutput:
         cfg = self.world.config
-        if qid not in self.world.index:
-            raise UnknownQuestionError(qid)
-        idx = self.world.index[qid]
-        p_star = self.world.p_star[qid]
-        rng = self._rng(idx, _LANE_SAMPLE, sample_index)
+        # before the sample's stream is placed: a first call draws from the
+        # question's own stream
+        question = self._question(qid)
+        rng = self._rng(question.index, _LANE_SAMPLE, sample_index)
         u_correct = rng.random()
         u_distractor = rng.random()
-        eps = float(rng.normal(0.0, cfg.signal_noise_sigma)) if cfg.signal_noise_sigma > 0 else 0.0
+        if question.signal is None:
+            eps = float(rng.normal(0.0, cfg.signal_noise_sigma))
+            token_logprobs, confidence = _sim_signal(question.p_star + eps, cfg.world_temperature)
+        else:
+            token_logprobs, confidence = question.signal
 
-        shared_mode, shared_outcome = self._question_mode(qid)
-        correct = shared_outcome if shared_mode else (u_correct < p_star)
-
+        correct = question.shared_outcome if question.shared_mode else (u_correct < question.p_star)
         if correct:
-            answer = self.world.gold[qid]
+            answer = question.gold
         else:
             answer = f"wrong_{int(u_distractor * cfg.n_distractors)}"
-
-        noisy_p = min(max(p_star + eps, SIM_PROB_FLOOR), 1.0)
-        anll_value = -cfg.world_temperature * math.log(noisy_p)
-        confidence = int(round(10 * min(max(p_star + eps, 0.0), 1.0)))
-        confidence = min(10, max(1, confidence))
-        text = f"The final answer is \\boxed{{{answer}}}. Confidence: {confidence}"
         return SampleOutput(
-            text=text,
-            token_logprobs=(-anll_value,) * SIM_TOKEN_COUNT,
+            text=f"The final answer is \\boxed{{{answer}}}. Confidence: {confidence}",
+            token_logprobs=token_logprobs,
             finish_reason=FinishReason.STOP,
         )
 
@@ -322,37 +375,6 @@ class SimulatedBackend:
         ]
         self.generation_samples += request.sample_count
         return BackendResponse(samples=samples)
-
-
-def simulated_generate(
-    backend: SimulatedBackend,
-    question_id: str,
-    n: int,
-    first_sample_index: int = 0,
-    phase: Phase = Phase.PHASE1,
-) -> List[GenerationRecord]:
-    """Draw ``n`` samples for one question as GenerationRecords.
-
-    Replaying with the same world, run seed, and sample indices reproduces the
-    exact records a pipeline run saw, which is how tests audit realized
-    outcomes without instrumenting the pipeline.
-    """
-    records = []
-    for i in range(n):
-        out = backend.sample_outcome(question_id, first_sample_index + i)
-        backend.generation_samples += 1
-        records.append(
-            GenerationRecord(
-                question_id=question_id,
-                phase=phase,
-                sample_index=first_sample_index + i,
-                text=out.text,
-                parsed_answer=None,
-                token_logprobs=out.token_logprobs,
-                finish_reason=out.finish_reason,
-            )
-        )
-    return records
 
 
 class ResponseCache:
@@ -482,6 +504,10 @@ class HttpBackend:
 
     Safe for concurrent use; a bounded semaphore caps in-flight requests at
     ``config.max_in_flight``, which is also the width of its waves.
+
+    Proxies, the CA bundle and netrc credentials are read from the environment
+    once, when the backend is built; later changes to the environment do not
+    reach it.
     """
 
     def __init__(self, config: HttpBackendConfig, cache: Optional[ResponseCache] = None):
@@ -490,12 +516,20 @@ class HttpBackend:
 
         self.config = config
         self.cache = cache
+        self._url = config.base_url.rstrip("/") + "/v1/chat/completions"
         self._session = requests.Session()
         # the default pool keeps 10 connections per host; keep one per
         # in-flight request so a wider wave reuses its connections too
         adapter = HTTPAdapter(pool_maxsize=config.max_in_flight)
         self._session.mount("http://", adapter)
         self._session.mount("https://", adapter)
+        # what requests would look up in the environment on every POST, looked
+        # up once for the one URL this backend posts to
+        settings = self._session.merge_environment_settings(self._url, {}, None, None, None)
+        self._session.proxies = settings["proxies"]
+        self._session.verify = settings["verify"]
+        self._session.auth = requests.utils.get_netrc_auth(self._url)
+        self._session.trust_env = False
         self._semaphore = threading.BoundedSemaphore(config.max_in_flight)
 
     @property
@@ -524,10 +558,9 @@ class HttpBackend:
         headers = {"Content-Type": "application/json"}
         if self.config.api_key:
             headers["Authorization"] = f"Bearer {self.config.api_key}"
-        url = self.config.base_url.rstrip("/") + "/v1/chat/completions"
         with self._semaphore:
             return self._session.post(
-                url, json=payload, headers=headers, timeout=self.config.timeout_seconds
+                self._url, json=payload, headers=headers, timeout=self.config.timeout_seconds
             )
 
     def _post_with_retries(self, payload: dict) -> dict:
@@ -541,22 +574,32 @@ class HttpBackend:
                 last_error = f"transport error: {exc}"
             else:
                 if resp.status_code == 200:
-                    if attempt:
-                        logger.info("request succeeded after %d retries", attempt)
-                    return resp.json()
-                last_error = f"HTTP {resp.status_code}: {resp.text[:200]}"
-                if resp.status_code not in (429,) and resp.status_code < 500:
-                    raise BackendError(last_error)
-                retry_after = resp.headers.get("Retry-After")
-                if retry_after is not None:
-                    delay = _retry_after_seconds(retry_after)
-                    if delay is None:
-                        delay = self.config.backoff_seconds * (2**attempt)
-                    delay = min(delay, self.config.timeout_seconds)
-                    logger.warning("rate limited; honoring Retry-After=%s", retry_after)
-                    if attempt < self.config.max_retries:
-                        time.sleep(delay)
-                    continue
+                    # a truncated or malformed reply is retried like a
+                    # transport error
+                    try:
+                        data = resp.json()
+                    except ValueError as exc:
+                        last_error = f"unparsable reply: {exc}"
+                    else:
+                        if isinstance(data, dict):
+                            if attempt:
+                                logger.info("request succeeded after %d retries", attempt)
+                            return data
+                        last_error = f"reply is not a JSON object: {resp.text[:200]}"
+                else:
+                    last_error = f"HTTP {resp.status_code}: {resp.text[:200]}"
+                    if resp.status_code not in (429,) and resp.status_code < 500:
+                        raise BackendError(last_error)
+                    retry_after = resp.headers.get("Retry-After")
+                    if retry_after is not None:
+                        delay = _retry_after_seconds(retry_after)
+                        if delay is None:
+                            delay = self.config.backoff_seconds * (2**attempt)
+                        delay = min(delay, self.config.timeout_seconds)
+                        logger.warning("rate limited; honoring Retry-After=%s", retry_after)
+                        if attempt < self.config.max_retries:
+                            time.sleep(delay)
+                        continue
             if attempt < self.config.max_retries:
                 delay = self.config.backoff_seconds * (2**attempt)
                 logger.warning("retry %d/%d after %s", attempt + 1, self.config.max_retries, last_error)

@@ -189,6 +189,15 @@ def _fallback_estimate(qid: str, kind: SignalKind, temperature: float, why: str)
     return DifficultyEstimate(qid, signals.prob_to_score(prob, temperature), prob, kind)
 
 
+def _length_scores(questions: Sequence[QuestionRecord]) -> Dict[str, float]:
+    """Prompt length min-max normalized over the batch to [0, 1], by question
+    id; 0 for every question when all prompts are equally long."""
+    lengths = [q.length_chars for q in questions]
+    lo, hi = min(lengths), max(lengths)
+    span = hi - lo
+    return {q.id: (q.length_chars - lo) / span if span > 0 else 0.0 for q in questions}
+
+
 def estimate_difficulties(
     questions: Sequence[QuestionRecord],
     phase1_records: Mapping[str, Sequence[GenerationRecord]],
@@ -211,13 +220,9 @@ def estimate_difficulties(
         return estimates
 
     if signal_kind == SignalKind.LENGTH:
-        lengths = [q.length_chars for q in questions]
-        lo, hi = min(lengths), max(lengths)
-        span = hi - lo
-        for q in questions:
-            score = (q.length_chars - lo) / span if span > 0 else 0.0
+        for qid, score in _length_scores(questions).items():
             prob = signals.score_to_prob(score, temperature)
-            estimates[q.id] = DifficultyEstimate(q.id, score, prob, signal_kind)
+            estimates[qid] = DifficultyEstimate(qid, score, prob, signal_kind)
         return estimates
 
     for q in questions:
@@ -286,13 +291,9 @@ def allocate_baseline(
         counts = np.bincount(rng.integers(0, len(ids), size=b_eff), minlength=len(ids))
         return AllocationVector({qid: int(c) for qid, c in zip(ids, counts)}, b_eff)
     if policy == Policy.LENGTH:
-        lengths = [q.length_chars for q in questions]
-        lo, hi = min(lengths), max(lengths)
-        span = hi - lo
         probs = {
-            q.id: signals.score_to_prob((q.length_chars - lo) / span if span > 0 else 0.0,
-                                        budget.temperature)
-            for q in questions
+            qid: signals.score_to_prob(score, budget.temperature)
+            for qid, score in _length_scores(questions).items()
         }
         return greedy_allocate(probs, b_eff)
     if policy == Policy.LLM_JUDGE:

@@ -2,6 +2,7 @@ import email.utils
 import json
 import logging
 import math
+import random
 import sys
 import threading
 import time
@@ -28,7 +29,6 @@ from uab.backends import (
     generate_wave,
     judge_classify,
     judge_classify_all,
-    simulated_generate,
 )
 from uab.core import BudgetSpec, FinishReason, QuestionRecord, ValidationError
 from uab.harness import result_json_line
@@ -136,6 +136,61 @@ class TestSimulatedBackend:
         backward = [b2.sample_outcome("q00001", s).text for s in reversed(range(6))]
         assert forward == list(reversed(backward))
 
+    def test_streams_match_a_fresh_philox_at_their_counter(self):
+        # the shared generator, reset per stream, reads each stream from its
+        # start; draw counts vary so that a reset which kept the previous
+        # stream's buffer would hand out stale words
+        world = make_world(m=2, seed=2**63 + 5)
+        backend = SimulatedBackend(world, run_seed=2**64 - 3)
+        key = (world.config.rng_seed << 64) | backend.run_seed
+        rng = np.random.default_rng(17)
+        for _ in range(1000):
+            counter = [int(v) for v in rng.integers(0, 2**63, size=3)]
+            ours = backend._rng(*counter)
+            fresh = np.random.Generator(np.random.Philox(key=key, counter=counter + [0]))
+            for _ in range(int(rng.integers(1, 6))):
+                if rng.random() < 0.5:
+                    assert ours.random() == fresh.random()
+                else:
+                    assert ours.normal(0.0, 0.3) == fresh.normal(0.0, 0.3)
+
+    def test_samples_follow_their_philox_definition_in_any_order(self):
+        world = make_world(m=6, sigma=0.15, rho=0.5, seed=21)
+        cfg = world.config
+        run_seed = 5
+        key = (cfg.rng_seed << 64) | run_seed
+
+        def stream(qid, lane, index):
+            return np.random.Generator(np.random.Philox(key=key, counter=[world.index[qid], lane, index, 0]))
+
+        def defined(qid, s):
+            p = world.p_star[qid]
+            mode = stream(qid, 0, 0)
+            shared, shared_outcome = mode.random() < cfg.correlation_rho, mode.random() < p
+            draws = stream(qid, 1, s)
+            u_correct, u_distractor = draws.random(), draws.random()
+            perceived = p + draws.normal(0.0, cfg.signal_noise_sigma)
+            correct = shared_outcome if shared else u_correct < p
+            answer = world.gold[qid] if correct else f"wrong_{int(u_distractor * cfg.n_distractors)}"
+            confidence = min(10, max(1, int(round(10 * min(max(perceived, 0.0), 1.0)))))
+            logprob = cfg.world_temperature * math.log(min(max(perceived, 1e-9), 1.0))
+            return f"The final answer is \\boxed{{{answer}}}. Confidence: {confidence}", (logprob,) * 8
+
+        pairs = [(q.id, s) for q in world.questions for s in range(6)]
+        serial = SimulatedBackend(world, run_seed)
+        expected = {pair: serial.sample_outcome(*pair) for pair in pairs}
+        for pair, out in expected.items():
+            assert (out.text, out.token_logprobs) == defined(*pair)
+
+        # requests interleaved across questions, lanes and judge calls
+        random.Random(3).shuffle(pairs)
+        interleaved = SimulatedBackend(world, run_seed)
+        for t, (qid, s) in enumerate(pairs):
+            if t % 5 == 0:
+                judge_classify(world.questions[t % 6], interleaved)
+            resp = interleaved.generate(BackendRequest(qid, "prompt", 1, first_sample_index=s))
+            assert resp.samples == [expected[qid, s]]
+
     def test_different_run_seeds_differ(self):
         world = make_world(m=1, probs=[0.5])
         t1 = [SimulatedBackend(world, run_seed=0).sample_outcome("q00000", s).text for s in range(30)]
@@ -156,15 +211,16 @@ class TestSimulatedBackend:
         direct = [backend.sample_outcome("q00000", s).text for s in range(5)]
         assert [s.text for s in r1.samples] + [s.text for s in r2.samples] == direct
 
-    def test_simulated_generate_records(self):
+    def test_generate_samples(self):
         world = make_world(m=2)
         backend = SimulatedBackend(world, run_seed=0)
-        records = simulated_generate(backend, "q00001", 3, first_sample_index=1)
-        assert [r.sample_index for r in records] == [1, 2, 3]
-        for r in records:
-            assert r.finish_reason == FinishReason.STOP
-            assert len(r.token_logprobs) == 8
-            assert all(lp <= 0 for lp in r.token_logprobs)
+        resp = backend.generate(BackendRequest("q00001", "prompt", 3, first_sample_index=1))
+        assert not resp.logprobs_missing
+        assert resp.samples == [backend.sample_outcome("q00001", s) for s in (1, 2, 3)]
+        for s in resp.samples:
+            assert s.finish_reason == FinishReason.STOP
+            assert len(s.token_logprobs) == 8
+            assert all(lp <= 0 for lp in s.token_logprobs)
 
 
 class TestJudge:
@@ -303,6 +359,9 @@ class _StubState:
         self.delay_s = 0.0
         self.in_flight = 0
         self.peak_in_flight = 0
+        #: Called with each request body that is not refused; a bytes result
+        #: is sent as the whole body of a 200 reply in place of the usual one.
+        self.raw_reply = None
 
 
 def _make_stub_handler(state: _StubState):
@@ -316,22 +375,26 @@ def _make_stub_handler(state: _StubState):
             with state.lock:
                 state.requests.append((self.path, body))
                 status = state.fail_statuses.pop(0) if state.fail_statuses else None
+                raw = state.raw_reply(body) if status is None and state.raw_reply else None
                 state.in_flight += 1
                 state.peak_in_flight = max(state.peak_in_flight, state.in_flight)
             try:
                 if state.delay_s:
                     time.sleep(state.delay_s)
-                self._reply(body, status)
+                self._reply(body, status, raw)
             finally:
                 with state.lock:
                     state.in_flight -= 1
 
-        def _reply(self, body, status):
+        def _reply(self, body, status, raw):
             if status is not None:
                 self.send_response(status)
                 if state.retry_after is not None:
                     self.send_header("Retry-After", str(state.retry_after))
                 self.end_headers()
+                return
+            if raw is not None:
+                self._send_json(raw)
                 return
             # replies are a pure function of the prompt and the choice index
             prompt = body["messages"][0]["content"]
@@ -351,7 +414,9 @@ def _make_stub_handler(state: _StubState):
                         "content": [{"logprob": -0.1 * (i + 1)}, {"logprob": -0.05 * (len(prompt) % 9)}]
                     }
                 choices.append(choice)
-            payload = json.dumps({"choices": choices}).encode()
+            self._send_json(json.dumps({"choices": choices}).encode())
+
+        def _send_json(self, payload):
             self.send_response(200)
             self.send_header("Content-Type", "application/json")
             self.send_header("Content-Length", str(len(payload)))
@@ -497,6 +562,79 @@ class TestHttpBackend:
             backend.generate(BackendRequest("q1", "p", 1))
         assert len(state.requests) == 1
 
+    @pytest.mark.parametrize("reply", [b'{"choices": [{"index": 0, "mess', b"[]", b"<html>busy</html>"])
+    def test_malformed_reply_retried_then_success(self, stub_server, reply):
+        url, state = stub_server
+        bad = [reply]
+        state.raw_reply = lambda body: bad.pop() if bad else None
+        resp = _http_backend(url).generate(BackendRequest("q1", "p", 2))
+        assert len(resp.samples) == 2
+        assert all(s.finish_reason == FinishReason.STOP for s in resp.samples)
+        assert len(state.requests) == 2
+
+    def test_malformed_reply_exhausts_retries(self, stub_server):
+        url, state = stub_server
+        state.raw_reply = lambda body: b'{"choices": ['
+        with pytest.raises(BackendError, match="after 2 retries.*unparsable reply"):
+            _http_backend(url, retries=2).generate(BackendRequest("q1", "p", 1))
+        assert len(state.requests) == 3
+
+
+_PROXY_VARIABLES = ("http_proxy", "https_proxy", "all_proxy", "no_proxy")
+
+
+@pytest.fixture
+def clean_proxy_env(monkeypatch):
+    """No proxy variable in the environment, in either case."""
+    for name in _PROXY_VARIABLES:
+        monkeypatch.delenv(name, raising=False)
+        monkeypatch.delenv(name.upper(), raising=False)
+    return monkeypatch
+
+
+class TestHttpEnvironment:
+    def test_ca_bundle_read_at_construction(self, clean_proxy_env, tmp_path):
+        bundle = tmp_path / "ca.pem"
+        clean_proxy_env.setenv("REQUESTS_CA_BUNDLE", str(bundle))
+        backend = _http_backend("http://127.0.0.1:9")
+        clean_proxy_env.delenv("REQUESTS_CA_BUNDLE")
+        assert backend._session.verify == str(bundle)
+
+    def test_proxy_read_at_construction_still_applies(self, stub_server, clean_proxy_env):
+        proxy_url, state = stub_server
+        clean_proxy_env.setenv("http_proxy", proxy_url)
+        # nothing listens on the discard port: the reply can only come
+        # through the proxy
+        backend = _http_backend("http://127.0.0.1:9", retries=0)
+        clean_proxy_env.delenv("http_proxy")
+        resp = backend.generate(BackendRequest("q1", "p", 1))
+        assert len(resp.samples) == 1
+        assert state.requests[0][0] == "http://127.0.0.1:9/v1/chat/completions"
+
+    def test_netrc_read_at_construction(self, clean_proxy_env, tmp_path):
+        netrc = tmp_path / "netrc"
+        netrc.write_text("machine 127.0.0.1 login user password secret\n")
+        netrc.chmod(0o600)
+        clean_proxy_env.setenv("NETRC", str(netrc))
+        assert _http_backend("http://127.0.0.1:9")._session.auth == ("user", "secret")
+
+    def test_environment_looked_up_once(self, stub_server, clean_proxy_env):
+        import requests
+
+        url, _state = stub_server
+        lookups = []
+        original = requests.sessions.get_environ_proxies
+
+        def counting(*args, **kwargs):
+            lookups.append(args)
+            return original(*args, **kwargs)
+
+        clean_proxy_env.setattr(requests.sessions, "get_environ_proxies", counting)
+        backend = _http_backend(url)
+        for i in range(10):
+            backend.generate(BackendRequest(f"q{i}", f"prompt {i}", 1))
+        assert len(lookups) <= 1
+
 
 # ---------------------------------------------------------------------------
 # Phase waves against the stub
@@ -557,6 +695,24 @@ class TestPhaseWaves:
         assert failed["correct"] is False
         assert failed["samples_used"] == 3
         assert failed["p_i"] == 0.5  # no usable Phase-1 logprobs
+
+    def test_truncated_replies_touch_their_own_question_only(self, stub_server):
+        url, state = stub_server
+        state.delay_s = 0.01
+        questions = _wave_questions()
+        clean = _result_lines(questions, _http_backend(url, max_in_flight=1), Policy.UNIFORM)
+        state.peak_in_flight = 0
+        doomed = questions[3].prompt
+        state.raw_reply = lambda body: (
+            b'{"choices": [' if body["messages"][0]["content"] == doomed else None
+        )
+        flaky = _result_lines(questions, _http_backend(url, max_in_flight=4), Policy.UNIFORM)
+        assert state.peak_in_flight >= 2
+        assert flaky[:3] + flaky[4:] == clean[:3] + clean[4:]
+        failed = json.loads(flaky[3])
+        assert failed["final_answer"] == ""
+        assert failed["samples_used"] == 3
+        assert failed["p_i"] == 0.5
 
     def test_generate_wave_yields_errors_in_request_order(self, stub_server):
         url, state = stub_server

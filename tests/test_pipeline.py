@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from uab.allocation import ExitKind, ExitMode, ThresholdExitConfig
+from uab.allocation import ExitKind, ExitMode, ThresholdExitConfig, greedy_allocate
 from uab.backends import (
     BackendRequest,
     BackendResponse,
@@ -29,6 +29,7 @@ from uab.pipeline import (
     Policy,
     allocate_baseline,
     canonicalize_answer,
+    estimate_difficulties,
     majority_vote,
     parse_answer,
     run_two_phase,
@@ -168,6 +169,19 @@ class TestAllocateBaseline:
         assert alloc.total_extras() == 12
         # longest prompt maps to the lowest probability, shortest to p=1
         assert alloc.extras["q3"] >= alloc.extras["q0"]
+
+    @pytest.mark.parametrize("lengths", [[10, 11, 12, 13], [13, 10, 12, 11, 10], [7, 7, 7]])
+    def test_length_policy_spends_by_the_length_signal(self, lengths):
+        qs = [QuestionRecord(id=f"q{i}", prompt="x" * n) for i, n in enumerate(lengths)]
+        budget = BudgetSpec(3, len(qs), temperature=0.2)
+        estimates = estimate_difficulties(qs, {}, SignalKind.LENGTH, budget.temperature)
+        lo, hi = min(lengths), max(lengths)
+        assert [estimates[q.id].score for q in qs] == [
+            (n - lo) / (hi - lo) if hi > lo else 0.0 for n in lengths
+        ]
+        alloc = allocate_baseline(Policy.LENGTH, qs, None, budget, np.random.default_rng(0))
+        expected = greedy_allocate({qid: e.prob for qid, e in estimates.items()}, budget.effective)
+        assert alloc.extras == expected.extras
 
 
 class TestRunTwoPhase:
