@@ -13,14 +13,14 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, Mapping, Optional, Set, Tuple
+from typing import Dict, Mapping, Optional, Sequence, Set, Tuple
 
 from .core import (
     AllocationVector,
     MissingProbabilityError,
     ValidationError,
+    check_prob,
     coverage_objective,
-    marginal_gain,
     residual_failure_power,
 )
 
@@ -75,13 +75,33 @@ class KktCertificate:
     violating_pair: Optional[Tuple[str, str]] = None
 
 
-def _validated_probs(probs: Mapping[str, float]) -> Dict[str, float]:
-    out = {}
-    for qid, p in probs.items():
-        if not 0.0 <= p <= 1.0:
-            raise ValidationError(f"probability for {qid!r} must be in [0, 1], got {p}")
-        out[qid] = float(p)
-    return out
+def _instance(probs: Mapping[str, float], budget_effective: int = 0) -> Dict[str, float]:
+    """``probs`` as floats, after the checks every allocator shares: each p is
+    a probability, and the budget is >= 0 and has a question to go to if > 0."""
+    probs = {qid: check_prob(p, qid) for qid, p in probs.items()}
+    if budget_effective < 0:
+        raise ValidationError("budget_effective must be >= 0")
+    if not probs and budget_effective > 0:
+        raise ValidationError("cannot allocate a positive budget over zero questions")
+    return probs
+
+
+def _gain(p: float, e: int) -> float:
+    """:func:`~uab.core.marginal_gain` without its checks, for probabilities
+    that :func:`_instance` has already checked."""
+    return p * residual_failure_power(p, e)
+
+
+def split_evenly(ids: Sequence[str], units: int) -> Dict[str, int]:
+    """``units`` spread over ``ids`` as evenly as integers allow.
+
+    Every id gets ``units // len(ids)``, and the first ``units % len(ids)``
+    ids, in order, get one more: the counts of a round-robin by index. An
+    empty ``ids`` takes nothing; allocators reject a positive budget over no
+    questions before they split.
+    """
+    base, rem = divmod(units, max(len(ids), 1))
+    return {qid: base + (1 if i < rem else 0) for i, qid in enumerate(ids)}
 
 
 def greedy_allocate(probs: Mapping[str, float], budget_effective: int) -> AllocationVector:
@@ -90,20 +110,13 @@ def greedy_allocate(probs: Mapping[str, float], budget_effective: int) -> Alloca
     Repeatedly assigns one unit to the question with the largest current
     marginal gain p*(1-p)^(1+e), keyed through a max-heap (O(B log M)). Ties
     break toward the lowest input index. Once every residual gain is exactly
-    zero (all p in {0, 1} exhausted), leftover units go round-robin by index
-    so the budget is always conserved.
+    zero (all p in {0, 1} exhausted), leftover units are split evenly
+    (:func:`split_evenly`) so the budget is always conserved.
     """
-    probs = _validated_probs(probs)
-    if budget_effective < 0:
-        raise ValidationError("budget_effective must be >= 0")
+    probs = _instance(probs, budget_effective)
     ids = list(probs)
-    if not ids:
-        if budget_effective > 0:
-            raise ValidationError("cannot allocate a positive budget over zero questions")
-        return AllocationVector({}, 0)
-
-    extras = {qid: 0 for qid in ids}
-    heap = [(-marginal_gain(probs[qid], 1), idx) for idx, qid in enumerate(ids)]
+    extras = dict.fromkeys(ids, 0)
+    heap = [(-_gain(p, 1), idx) for idx, p in enumerate(probs.values())]
     heapq.heapify(heap)
     remaining = budget_effective
     while remaining > 0:
@@ -113,43 +126,11 @@ def greedy_allocate(probs: Mapping[str, float], budget_effective: int) -> Alloca
         qid = ids[idx]
         extras[qid] += 1
         remaining -= 1
-        heapq.heapreplace(heap, (-marginal_gain(probs[qid], 1 + extras[qid]), idx))
-    for t in range(remaining):
-        extras[ids[t % len(ids)]] += 1
+        heapq.heapreplace(heap, (-_gain(probs[qid], 1 + extras[qid]), idx))
+    if remaining:
+        for qid, n in split_evenly(ids, remaining).items():
+            extras[qid] += n
     return AllocationVector(extras, budget_effective)
-
-
-def greedy_allocate_scan(probs: Mapping[str, float], budget_effective: int) -> AllocationVector:
-    """Reference greedy using a naive O(B*M) argmax scan.
-
-    Must produce output identical to :func:`greedy_allocate`; kept as the
-    plainly-readable implementation the heap version is checked against.
-    """
-    probs = _validated_probs(probs)
-    if budget_effective < 0:
-        raise ValidationError("budget_effective must be >= 0")
-    ids = list(probs)
-    if not ids:
-        if budget_effective > 0:
-            raise ValidationError("cannot allocate a positive budget over zero questions")
-        return AllocationVector({}, 0)
-
-    extras = [0] * len(ids)
-    gains = [marginal_gain(probs[qid], 1) for qid in ids]
-    remaining = budget_effective
-    while remaining > 0:
-        best = 0
-        for i in range(1, len(ids)):
-            if gains[i] > gains[best]:
-                best = i
-        if gains[best] <= 0.0:
-            break
-        extras[best] += 1
-        remaining -= 1
-        gains[best] = marginal_gain(probs[ids[best]], 1 + extras[best])
-    for t in range(remaining):
-        extras[t % len(ids)] += 1
-    return AllocationVector(dict(zip(ids, extras)), budget_effective)
 
 
 def dp_allocate_exact(probs: Mapping[str, float], budget_effective: int) -> AllocationVector:
@@ -159,14 +140,8 @@ def dp_allocate_exact(probs: Mapping[str, float], budget_effective: int) -> Allo
     backpointer reconstruction; spends the budget exactly. Intended for small
     instances only (guardrails M <= 12, B <= 64); use greedy_allocate beyond.
     """
-    probs = _validated_probs(probs)
-    if budget_effective < 0:
-        raise ValidationError("budget_effective must be >= 0")
+    probs = _instance(probs, budget_effective)
     ids = list(probs)
-    if not ids:
-        if budget_effective > 0:
-            raise ValidationError("cannot allocate a positive budget over zero questions")
-        return AllocationVector({}, 0)
     if len(ids) > DP_MAX_QUESTIONS or budget_effective > DP_MAX_BUDGET:
         raise InstanceTooLargeError(
             f"DP oracle limited to M <= {DP_MAX_QUESTIONS}, budget <= {DP_MAX_BUDGET} "
@@ -224,7 +199,7 @@ def verify_kkt(
     1+e_i samples held, the add gain is p(1-p)^(1+e_i) and the placed unit's
     gain is p(1-p)^(e_i); the placed side is vacuous when e_i = 0.
     """
-    probs = _validated_probs(probs)
+    probs = _instance(probs)
     for qid in alloc.extras:
         if qid not in probs:
             raise MissingProbabilityError(qid)
@@ -235,11 +210,11 @@ def verify_kkt(
     giver, drop_min = None, float("inf")
     for qid, e in alloc.extras.items():
         p = probs[qid]
-        add_gain = marginal_gain(p, 1 + e)
+        add_gain = _gain(p, 1 + e)
         if add_gain > gain_max:
             gainer, gain_max = qid, add_gain
         if e > 0:
-            placed_gain = marginal_gain(p, e)
+            placed_gain = _gain(p, e)
             if placed_gain < drop_min:
                 giver, drop_min = qid, placed_gain
 
@@ -323,39 +298,26 @@ def apply_threshold_exits(
     full budget on the survivors; skip mode shrinks the budget to
     floor(B * |eligible| / M) and reports the savings.
     """
-    probs = _validated_probs(probs)
+    probs = _instance(probs, budget_effective)
     if cfg.exit_kind == ExitKind.NONE:
-        alloc = greedy_allocate(probs, budget_effective)
-        return set(probs), alloc, 0
-
-    ids = list(probs)
-    if cfg.exit_kind == ExitKind.HARD:
-        eligible = [qid for qid in ids if probs[qid] >= cfg.theta]
+        eligible = list(probs)
+    elif cfg.exit_kind == ExitKind.HARD:
+        eligible = [qid for qid, p in probs.items() if p >= cfg.theta]
     else:
-        eligible = [qid for qid in ids if probs[qid] <= cfg.theta]
-    eligible_probs = {qid: probs[qid] for qid in eligible}
+        eligible = [qid for qid, p in probs.items() if p <= cfg.theta]
 
-    if cfg.mode == ExitMode.REDISTRIBUTE:
-        if not eligible and budget_effective > 0:
-            raise ValidationError("no eligible questions to redistribute the budget over")
-        inner = greedy_allocate(eligible_probs, budget_effective)
-        extras = {qid: inner.extras.get(qid, 0) for qid in ids}
-        return set(eligible), AllocationVector(extras, budget_effective), 0
-
-    shrunk = (budget_effective * len(eligible)) // len(ids)
-    inner = greedy_allocate(eligible_probs, shrunk)
-    extras = {qid: inner.extras.get(qid, 0) for qid in ids}
-    saved = budget_effective - shrunk
-    return set(eligible), AllocationVector(extras, budget_effective), saved
+    budget = budget_effective
+    # every question eligible (no exit, or no questions): nothing to shrink
+    if cfg.mode == ExitMode.SKIP and len(eligible) < len(probs):
+        budget = (budget_effective * len(eligible)) // len(probs)
+    elif not eligible and budget > 0:
+        raise ValidationError("no eligible questions to redistribute the budget over")
+    inner = greedy_allocate({qid: probs[qid] for qid in eligible}, budget)
+    extras = {qid: inner.extras.get(qid, 0) for qid in probs}
+    return set(eligible), AllocationVector(extras, budget_effective), budget_effective - budget
 
 
 def uniform_allocation(probs: Mapping[str, float], budget_effective: int) -> AllocationVector:
-    """Spread the budget evenly; remainder round-robin in input order."""
-    ids = list(probs)
-    if not ids:
-        if budget_effective > 0:
-            raise ValidationError("cannot allocate a positive budget over zero questions")
-        return AllocationVector({}, 0)
-    base, rem = divmod(budget_effective, len(ids))
-    extras = {qid: base + (1 if i < rem else 0) for i, qid in enumerate(ids)}
-    return AllocationVector(extras, budget_effective)
+    """Spread the budget evenly (:func:`split_evenly`) in input order."""
+    ids = list(_instance(probs, budget_effective))
+    return AllocationVector(split_evenly(ids, budget_effective), budget_effective)

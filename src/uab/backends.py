@@ -51,7 +51,6 @@ JUDGE_PROMPT_TEMPLATE = (
     "Is the following question easy or hard for a language model to answer "
     "correctly? Respond with a single word: easy or hard.\n\n{question}"
 )
-_JUDGE_PREFIX = JUDGE_PROMPT_TEMPLATE.split("{question}")[0]
 
 VCS_INSTRUCTION = (
     "After giving your answer, rate how confident you are that it is correct "
@@ -195,6 +194,9 @@ class BackendRequest:
     #: Index of the first sample in this request within the question's overall
     #: sample numbering; keeps cache keys and simulator streams per-sample.
     first_sample_index: int = 0
+    #: Asks for an easy/hard label instead of answer samples; only judge
+    #: requests set it. Not part of the HTTP payload or the cache key.
+    judge: bool = False
 
     def __post_init__(self):
         if self.sample_count < 1:
@@ -360,7 +362,7 @@ class SimulatedBackend:
         return "easy" if perceived > 0.5 else "hard"
 
     def generate(self, request: BackendRequest) -> BackendResponse:
-        if request.prompt.startswith(_JUDGE_PREFIX):
+        if request.judge:
             if request.question_id not in self.world.index:
                 raise UnknownQuestionError(request.question_id)
             self.judge_calls += 1
@@ -469,16 +471,15 @@ class HttpBackendConfig:
         if self.max_in_flight < 1:
             raise ValidationError("max_in_flight must be >= 1")
 
-    @classmethod
-    def from_env(cls, environ: Mapping[str, str]) -> "HttpBackendConfig":
-        base_url = environ.get("UAB_API_BASE", "")
-        model = environ.get("UAB_MODEL", "")
-        if not base_url or not model:
-            raise ValidationError("UAB_API_BASE and UAB_MODEL must be set for the http backend")
-        return cls(base_url=base_url, model=model, api_key=environ.get("UAB_API_KEY", ""))
-
 
 _FINISH_MAP = {"stop": FinishReason.STOP, "length": FinishReason.LENGTH}
+
+
+def _usable_logprobs(logprobs: Tuple[float, ...]) -> Tuple[float, ...]:
+    """``logprobs``, or () when one of them is non-finite or positive (``json``
+    reads ``-Infinity`` and ``NaN``): such a sample counts as one without
+    logprobs, where :class:`~uab.core.GenerationRecord` would reject it."""
+    return logprobs if all(math.isfinite(lp) and lp <= 0.0 for lp in logprobs) else ()
 
 
 def _retry_after_seconds(value: str) -> Optional[float]:
@@ -607,14 +608,28 @@ class HttpBackend:
         raise BackendError(f"request failed after {self.config.max_retries} retries ({last_error})")
 
     @staticmethod
-    def _parse_choice(choice: dict) -> Tuple[str, Tuple[float, ...], FinishReason]:
+    def _parse_choice(choice: object) -> Tuple[str, Tuple[float, ...], FinishReason]:
+        """Text, token logprobs and finish reason of one reply choice.
+
+        Raises :class:`BackendError` when the choice, its ``message`` or its
+        ``logprobs`` is present but not a JSON object, or the content is not a
+        string. Logprobs that are unparsable, non-finite or positive come back
+        empty, as if the endpoint had sent none.
+        """
+        if not isinstance(choice, dict):
+            raise BackendError(f"reply choice is not a JSON object: {choice!r:.200}")
         message = choice.get("message") or {}
+        lp_block = choice.get("logprobs") or {}
+        if not isinstance(message, dict) or not isinstance(lp_block, dict):
+            raise BackendError(f"reply choice has a malformed message or logprobs: {choice!r:.200}")
         text = message.get("content") or ""
+        if not isinstance(text, str):
+            raise BackendError(f"reply content is not a string: {text!r:.200}")
         logprobs = ()
-        lp_block = choice.get("logprobs")
-        if lp_block and isinstance(lp_block.get("content"), list):
+        if isinstance(lp_block.get("content"), list):
             try:
-                logprobs = tuple(float(tok["logprob"]) for tok in lp_block["content"])
+                parsed = tuple(float(tok["logprob"]) for tok in lp_block["content"])
+                logprobs = _usable_logprobs(parsed)
             except (KeyError, TypeError, ValueError):
                 logprobs = ()
         finish = _FINISH_MAP.get(choice.get("finish_reason"), FinishReason.ERROR)
@@ -634,7 +649,7 @@ class HttpBackend:
                 if payload is not None:
                     outputs[i] = SampleOutput(
                         text=payload["text"],
-                        token_logprobs=tuple(payload.get("token_logprobs") or ()),
+                        token_logprobs=_usable_logprobs(tuple(payload.get("token_logprobs") or ())),
                         finish_reason=FinishReason(payload.get("finish_reason", "stop")),
                     )
         missing = [i for i, out in enumerate(outputs) if out is None]
@@ -652,12 +667,16 @@ class HttpBackend:
                 payload["logprobs"] = True
             data = self._post_with_retries(payload)
             choices = data.get("choices") or []
+            if not isinstance(choices, list):
+                raise BackendError(f"reply choices are not a JSON array: {choices!r:.200}")
             if len(choices) != len(missing):
                 raise BackendError(
                     f"endpoint returned {len(choices)} choices for n={len(missing)}"
                 )
-            for slot, choice in zip(missing, choices):
-                text, logprobs, finish = self._parse_choice(choice)
+            # every choice is parsed before any is cached: a malformed one fails
+            # the whole request
+            parsed = [self._parse_choice(choice) for choice in choices]
+            for slot, (text, logprobs, finish) in zip(missing, parsed):
                 if request.want_logprobs and not logprobs and finish != FinishReason.ERROR:
                     logprobs_missing = True
                 outputs[slot] = SampleOutput(text, logprobs, finish)
@@ -672,7 +691,8 @@ class HttpBackend:
                     )
             if logprobs_missing:
                 logger.warning(
-                    "endpoint omitted token logprobs for %s; falling back to empty logprobs",
+                    "endpoint omitted token logprobs for %s, or sent unusable ones; "
+                    "falling back to empty logprobs",
                     request.question_id,
                 )
         return BackendResponse(samples=list(outputs), logprobs_missing=logprobs_missing)
@@ -718,6 +738,7 @@ def _judge_request(question: QuestionRecord) -> BackendRequest:
         sample_count=1,
         max_tokens=16,
         want_logprobs=False,
+        judge=True,
     )
 
 

@@ -7,6 +7,7 @@ is safe to use from concurrent code without locking.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Optional, Tuple
@@ -210,9 +211,13 @@ def residual_failure_power(p: float, n: int) -> float:
     return math.exp(n * math.log1p(-p))
 
 
-def _check_prob(p: float, context: str = "p") -> float:
-    if not (isinstance(p, (int, float)) and math.isfinite(p) and 0.0 <= p <= 1.0):
-        raise ValidationError(f"{context} must be a probability in [0, 1], got {p!r}")
+def check_prob(p: float, qid: Optional[str] = None) -> float:
+    """``p`` as a float if it is a real number (numpy scalars too) in [0, 1],
+    else :class:`ValidationError` naming question ``qid``."""
+    # float and int first: they are the common case, and the ABC check is slow
+    if not (isinstance(p, (float, int, numbers.Real)) and 0.0 <= p <= 1.0):
+        name = "p" if qid is None else f"probs[{qid!r}]"
+        raise ValidationError(f"{name} must be a probability in [0, 1], got {p!r}")
     return float(p)
 
 
@@ -226,7 +231,7 @@ def coverage_objective(alloc: AllocationVector, probs: Mapping[str, float]) -> f
     for qid, extras in alloc.extras.items():
         if qid not in probs:
             raise MissingProbabilityError(qid)
-        p = _check_prob(probs[qid], f"probs[{qid!r}]")
+        p = check_prob(probs[qid], qid)
         total += 1.0 - residual_failure_power(p, 1 + extras)
     return total
 
@@ -238,7 +243,7 @@ def marginal_gain(p: float, e: int) -> float:
     the gain of one more extra on a question holding ``extras`` extras is
     ``marginal_gain(p, 1 + extras)``. Strictly decreasing in e for p in (0,1).
     """
-    p = _check_prob(p)
+    p = check_prob(p)
     if not isinstance(e, int) or e < 0:
         raise ValidationError(f"sample count must be a nonnegative integer, got {e!r}")
     return p * residual_failure_power(p, e)

@@ -20,7 +20,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Union
 import numpy as np
 
 from . import signals
-from .allocation import ThresholdExitConfig, apply_threshold_exits, greedy_allocate
+from .allocation import ThresholdExitConfig, apply_threshold_exits, greedy_allocate, split_evenly
 from .backends import (
     BackendError,
     BackendRequest,
@@ -280,13 +280,12 @@ def allocate_baseline(
     Uniform gives every question N-1 extras; random scatters the budget
     i.i.d.; length routes the score-to-probability machinery through a
     min-max-normalized prompt length; the judge policy gives easy questions
-    nothing and splits the whole remaining budget equally over hard ones.
+    nothing and splits the budget evenly over hard ones (all, if none is hard).
     """
     ids = [q.id for q in questions]
     b_eff = budget.effective
     if policy == Policy.UNIFORM:
-        extras = {qid: budget.n_per_question - 1 for qid in ids}
-        return AllocationVector(extras, b_eff)
+        return AllocationVector(split_evenly(ids, b_eff), b_eff)
     if policy == Policy.RANDOM:
         counts = np.bincount(rng.integers(0, len(ids), size=b_eff), minlength=len(ids))
         return AllocationVector({qid: int(c) for qid, c in zip(ids, counts)}, b_eff)
@@ -300,15 +299,8 @@ def allocate_baseline(
         if judge_labels is None:
             raise ValidationError("llm_judge policy requires judge labels")
         hard = [qid for qid in ids if judge_labels.get(qid, JudgeLabel.HARD) == JudgeLabel.HARD]
-        extras = {qid: 0 for qid in ids}
-        if not hard:
-            # nothing is hard: keep the budget conserved round-robin
-            for t in range(b_eff):
-                extras[ids[t % len(ids)]] += 1
-            return AllocationVector(extras, b_eff)
-        base, rem = divmod(b_eff, len(hard))
-        for i, qid in enumerate(hard):
-            extras[qid] = base + (1 if i < rem else 0)
+        extras = dict.fromkeys(ids, 0)
+        extras.update(split_evenly(hard or ids, b_eff))
         return AllocationVector(extras, b_eff)
     raise ValidationError(f"policy {policy} has no baseline allocation rule")
 

@@ -11,9 +11,9 @@ from uab.allocation import (
     apply_threshold_exits,
     dp_allocate_exact,
     greedy_allocate,
-    greedy_allocate_scan,
     regret_bound_check,
     sensitivity_gap,
+    split_evenly,
     uniform_allocation,
     verify_kkt,
 )
@@ -76,17 +76,32 @@ class TestGreedyAllocate:
         assert alloc2.total_extras() == 4
 
     def test_empty_questions_with_budget_errors(self):
-        with pytest.raises(ValidationError):
-            greedy_allocate({}, 2)
-        assert greedy_allocate({}, 0).total_extras() == 0
+        # one instance check, shared by every allocator
+        for allocate in (greedy_allocate, dp_allocate_exact, uniform_allocation):
+            with pytest.raises(ValidationError, match="zero questions"):
+                allocate({}, 2)
+            with pytest.raises(ValidationError, match=">= 0"):
+                allocate({"q1": 0.5}, -1)
+            assert allocate({}, 0).total_extras() == 0
 
-    def test_heap_and_scan_identical(self):
+    def test_grid_instances_optimal_with_ties_to_lowest_index(self):
+        # p on a grid of tenths, so equal gains are common
         rng = np.random.default_rng(1)
         for _ in range(200):
             m = int(rng.integers(1, 15))
             b = int(rng.integers(0, 60))
             probs = {f"q{i}": float(rng.integers(0, 11)) / 10 for i in range(m)}
-            assert greedy_allocate(probs, b).extras == greedy_allocate_scan(probs, b).extras
+            alloc = greedy_allocate(probs, b)
+            assert verify_kkt(alloc, probs, tol=0.0).satisfied
+            ids = list(probs)
+            next_gains = [marginal_gain(probs[q], 1 + alloc.extras[q]) for q in ids]
+            for j, qid in enumerate(ids):
+                if alloc.extras[qid] == 0:
+                    continue
+                held = marginal_gain(probs[qid], alloc.extras[qid])
+                # a zero-gain unit is the even-split leftover, not a tie
+                if held > 0.0:
+                    assert held not in next_gains[:j], (probs, b, alloc.extras)
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(2)
@@ -117,6 +132,25 @@ class TestGreedyAllocate:
         ]
         assert all(hi >= lo - 1e-12 for lo, hi in zip(values, values[1:]))
 
+    def test_numpy_probability_accepted_by_allocation_and_objective(self):
+        probs = {"q1": np.float32(0.3), "q2": 0.6}
+        alloc = greedy_allocate(probs, 3)
+        as_floats = {"q1": float(np.float32(0.3)), "q2": 0.6}
+        assert alloc.extras == greedy_allocate(as_floats, 3).extras
+        assert coverage_objective(alloc, probs) == coverage_objective(alloc, as_floats)
+        assert verify_kkt(alloc, probs).satisfied
+
+    def test_probability_checks_shared_by_allocators(self):
+        for bad in (1.5, -0.1, float("nan"), "0.5", None):
+            probs = {"q1": 0.5, "q2": bad}
+            for allocate in (greedy_allocate, dp_allocate_exact, uniform_allocation):
+                with pytest.raises(ValidationError, match="probs\\['q2'\\]"):
+                    allocate(probs, 2)
+            with pytest.raises(ValidationError, match="probs\\['q2'\\]"):
+                apply_threshold_exits(probs, 2, ThresholdExitConfig())
+            with pytest.raises(ValidationError, match="probs\\['q2'\\]"):
+                verify_kkt(AllocationVector({"q1": 2}, 2), probs)
+
     def test_dominates_uniform(self):
         rng = np.random.default_rng(4)
         for _ in range(100):
@@ -126,6 +160,24 @@ class TestGreedyAllocate:
             jg = coverage_objective(greedy_allocate(probs, b), probs)
             ju = coverage_objective(uniform_allocation(probs, b), probs)
             assert jg >= ju - 1e-12
+
+
+class TestSplitEvenly:
+    def test_remainder_to_lowest_indices(self):
+        assert split_evenly(["a", "b", "c"], 8) == {"a": 3, "b": 3, "c": 2}
+        assert split_evenly(["a", "b", "c"], 2) == {"a": 1, "b": 1, "c": 0}
+        assert split_evenly(["a", "b"], 0) == {"a": 0, "b": 0}
+        assert split_evenly([], 0) == {}
+
+    def test_equals_round_robin(self):
+        rng = np.random.default_rng(8)
+        for _ in range(200):
+            ids = [f"q{i}" for i in range(int(rng.integers(1, 12)))]
+            units = int(rng.integers(0, 50))
+            counts = dict.fromkeys(ids, 0)
+            for t in range(units):
+                counts[ids[t % len(ids)]] += 1
+            assert split_evenly(ids, units) == counts
 
 
 class TestDpOracle:
@@ -294,6 +346,22 @@ class TestThresholdExits:
         assert eligible == set()
         assert alloc.total_extras() == 0
         assert saved == 4
+
+    def test_empty_instance_skip_mode(self):
+        for kind in ExitKind:
+            cfg = ThresholdExitConfig(kind, 0.5, ExitMode.SKIP)
+            with pytest.raises(ValidationError, match="zero questions"):
+                apply_threshold_exits({}, 3, cfg)
+            eligible, alloc, saved = apply_threshold_exits({}, 0, cfg)
+            assert eligible == set() and alloc.extras == {} and saved == 0
+
+    def test_all_eligible_skip_spends_everything(self):
+        probs = {"q1": 0.9, "q2": 0.4, "q3": 0.1}
+        cfg = ThresholdExitConfig(ExitKind.EASY, 0.95, ExitMode.SKIP)
+        eligible, alloc, saved = apply_threshold_exits(probs, 7, cfg)
+        assert eligible == set(probs)
+        assert alloc.extras == greedy_allocate(probs, 7).extras
+        assert saved == 0
 
     def test_all_excluded_redistribute_errors(self):
         probs = {"q1": 0.9, "q2": 0.8}

@@ -19,6 +19,7 @@ from uab.backends import (
     FixedProbs,
     HttpBackend,
     HttpBackendConfig,
+    JUDGE_PROMPT_TEMPLATE,
     JudgeLabel,
     ResponseCache,
     SimulatedBackend,
@@ -231,6 +232,36 @@ class TestJudge:
         assert labels == [JudgeLabel.EASY, JudgeLabel.HARD]
         assert backend.judge_calls == 2
         assert backend.generation_samples == 0
+
+    def test_generation_prompt_in_judge_wording_gets_samples(self):
+        # only a request marked as a judge request is answered with a label
+        world = make_world(m=2, probs=[0.9, 0.1])
+        backend = SimulatedBackend(world, run_seed=0)
+        q = world.questions[0]
+        prompt = JUDGE_PROMPT_TEMPLATE.format(question=q.prompt)
+        resp = backend.generate(BackendRequest(q.id, prompt, 2))
+        assert resp.samples == [backend.sample_outcome(q.id, s) for s in (0, 1)]
+        assert backend.generation_samples == 2
+        assert backend.judge_calls == 0
+        label = backend.generate(BackendRequest(q.id, "any prompt", 1, judge=True))
+        assert label.samples[0].text == "easy"
+        assert backend.judge_calls == 1
+
+    def test_judge_request_payload_and_cache_key_unmarked(self, stub_server, tmp_path):
+        # the judge mark stays out of the POST body and the cache key, so
+        # caches written before it existed still replay
+        url, state = stub_server
+        cache = ResponseCache(tmp_path)
+        q = QuestionRecord(id="j1", prompt="Is 7 prime?")
+        judge_classify(q, _http_backend(url, cache=cache))
+        _path, body = state.requests[-1]
+        assert set(body) == {"model", "messages", "n", "temperature", "max_tokens"}
+        unmarked = BackendRequest(
+            "j1", JUDGE_PROMPT_TEMPLATE.format(question=q.prompt), 1, max_tokens=16, want_logprobs=False
+        )
+        _http_backend(url, cache=cache).generate(unmarked)
+        assert len(state.requests) == 1
+        assert cache.hits == 1
 
     def test_parsing_rules(self):
         class CannedBackend:
@@ -572,6 +603,49 @@ class TestHttpBackend:
         assert all(s.finish_reason == FinishReason.STOP for s in resp.samples)
         assert len(state.requests) == 2
 
+    @pytest.mark.parametrize(
+        "reply",
+        [
+            {"choices": ["x"]},
+            {"choices": [{"message": "hi", "finish_reason": "stop"}]},
+            {"choices": [{"message": {"content": "hi"}, "logprobs": [{"logprob": -0.1}]}]},
+            {"choices": [{"message": {"content": ["hi"]}}]},
+            {"choices": {"0": {"message": {"content": "hi"}}}},
+        ],
+    )
+    def test_malformed_choice_fails_its_request(self, stub_server, tmp_path, reply):
+        url, state = stub_server
+        state.raw_reply = lambda body: json.dumps(reply).encode()
+        cache = ResponseCache(tmp_path)
+        with pytest.raises(BackendError, match="reply (choice|content)"):
+            _http_backend(url, cache=cache).generate(BackendRequest("q1", "p", 1))
+        assert len(state.requests) == 1
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("value", ["-Infinity", "NaN", "Infinity", "0.5"])
+    def test_unusable_logprobs_count_as_missing(self, stub_server, value):
+        url, state = stub_server
+        state.raw_reply = lambda body: (
+            '{"choices": [{"message": {"content": "\\\\boxed{1}"}, "finish_reason": "stop", '
+            '"logprobs": {"content": [{"logprob": -0.1}, {"logprob": %s}]}}]}' % value
+        ).encode()
+        resp = _http_backend(url).generate(BackendRequest("q1", "p", 1))
+        assert resp.logprobs_missing
+        assert resp.samples[0].token_logprobs == ()
+        assert resp.samples[0].text == "\\boxed{1}"
+
+    def test_unusable_cached_logprobs_replay_as_missing(self, stub_server, tmp_path):
+        url, state = stub_server
+        cache = ResponseCache(tmp_path)
+        backend = _http_backend(url, cache=cache)
+        req = BackendRequest("q1", "p", 1)
+        cache.put(backend._cache_key(req, 0), {
+            "text": "\\boxed{1}", "token_logprobs": [-0.1, float("-inf")], "finish_reason": "stop",
+        })
+        resp = backend.generate(req)
+        assert state.requests == []
+        assert resp.samples[0].token_logprobs == ()
+
     def test_malformed_reply_exhausts_retries(self, stub_server):
         url, state = stub_server
         state.raw_reply = lambda body: b'{"choices": ['
@@ -713,6 +787,51 @@ class TestPhaseWaves:
         assert failed["final_answer"] == ""
         assert failed["samples_used"] == 3
         assert failed["p_i"] == 0.5
+
+    def test_malformed_choices_touch_their_own_question_only(self, stub_server):
+        url, state = stub_server
+        state.delay_s = 0.01
+        questions = _wave_questions()
+        clean = _result_lines(questions, _http_backend(url, max_in_flight=1), Policy.UNIFORM)
+        state.peak_in_flight = 0
+        doomed = questions[3].prompt
+        state.raw_reply = lambda body: (
+            json.dumps({"choices": ["x"] * body["n"]}).encode()
+            if body["messages"][0]["content"] == doomed else None
+        )
+        flaky = _result_lines(questions, _http_backend(url, max_in_flight=4), Policy.UNIFORM)
+        assert state.peak_in_flight >= 2
+        assert flaky[:3] + flaky[4:] == clean[:3] + clean[4:]
+        failed = json.loads(flaky[3])
+        assert failed["final_answer"] == ""
+        assert failed["samples_used"] == 3
+        assert failed["p_i"] == 0.5
+
+    def test_infinite_logprob_gets_the_fallback_probability(self, stub_server):
+        url, state = stub_server
+        questions = _wave_questions()
+        clean = _result_lines(questions, _http_backend(url, max_in_flight=1), Policy.UNIFORM)
+        doomed = questions[3].prompt
+
+        def minus_infinity(body):
+            if body["messages"][0]["content"] != doomed:
+                return None
+            choices = [
+                {
+                    "message": {"content": f"The answer is \\boxed{{{(len(doomed) + i) % 3}}}."},
+                    "finish_reason": "stop",
+                    "logprobs": {"content": [{"logprob": -0.1}, {"logprob": float("-inf")}]},
+                }
+                for i in range(body["n"])
+            ]
+            return json.dumps({"choices": choices}).encode()
+
+        state.raw_reply = minus_infinity
+        degraded = _result_lines(questions, _http_backend(url, max_in_flight=4), Policy.UNIFORM)
+        assert degraded[:3] + degraded[4:] == clean[:3] + clean[4:]
+        got, want = json.loads(degraded[3]), json.loads(clean[3])
+        assert got["p_i"] == 0.5 != want["p_i"]
+        assert got["final_answer"] == want["final_answer"]
 
     def test_generate_wave_yields_errors_in_request_order(self, stub_server):
         url, state = stub_server
