@@ -42,8 +42,6 @@ from .core import (
     DifficultyEstimate,
     ExperimentResult,
     FinishReason,
-    GenerationRecord,
-    Phase,
     QuestionRecord,
     SignalKind,
     TaskKind,

@@ -113,7 +113,11 @@ def greedy_allocate(probs: Mapping[str, float], budget_effective: int) -> Alloca
     zero (all p in {0, 1} exhausted), leftover units are split evenly
     (:func:`split_evenly`) so the budget is always conserved.
     """
-    probs = _instance(probs, budget_effective)
+    return _greedy(_instance(probs, budget_effective), budget_effective)
+
+
+def _greedy(probs: Dict[str, float], budget_effective: int) -> AllocationVector:
+    """:func:`greedy_allocate` on an instance :func:`_instance` has checked."""
     ids = list(probs)
     extras = dict.fromkeys(ids, 0)
     heap = [(-_gain(p, 1), idx) for idx, p in enumerate(probs.values())]
@@ -312,7 +316,7 @@ def apply_threshold_exits(
         budget = (budget_effective * len(eligible)) // len(probs)
     elif not eligible and budget > 0:
         raise ValidationError("no eligible questions to redistribute the budget over")
-    inner = greedy_allocate({qid: probs[qid] for qid in eligible}, budget)
+    inner = _greedy({qid: probs[qid] for qid in eligible}, budget)
     extras = {qid: inner.extras.get(qid, 0) for qid in probs}
     return set(eligible), AllocationVector(extras, budget_effective), budget_effective - budget
 

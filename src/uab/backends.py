@@ -215,7 +215,6 @@ class SampleOutput:
 @dataclass
 class BackendResponse:
     samples: List[SampleOutput]
-    logprobs_missing: bool = False
 
 
 # RNG stream lanes within one question. Streams are keyed by Philox counters,
@@ -370,7 +369,7 @@ class SimulatedBackend:
                 SampleOutput(self._judge_response(request.question_id), (), FinishReason.STOP)
                 for _ in range(request.sample_count)
             ]
-            return BackendResponse(samples=samples, logprobs_missing=request.want_logprobs)
+            return BackendResponse(samples=samples)
         samples = [
             self.sample_outcome(request.question_id, request.first_sample_index + i)
             for i in range(request.sample_count)
@@ -379,8 +378,29 @@ class SimulatedBackend:
         return BackendResponse(samples=samples)
 
 
+def _usable_logprobs(logprobs: Tuple[float, ...]) -> Tuple[float, ...]:
+    """``logprobs``, or () when one of them is non-finite or positive (``json``
+    reads ``-Infinity`` and ``NaN``): such a sample counts as one without
+    logprobs, which the logprob signals would otherwise reject."""
+    return logprobs if all(math.isfinite(lp) and lp <= 0.0 for lp in logprobs) else ()
+
+
+def _cached_sample(entry: object) -> SampleOutput:
+    """The sample a cache entry holds; :class:`ValueError` when the entry is
+    not an object with a string ``text``, an optional list of numbers
+    ``token_logprobs`` and an optional known ``finish_reason``."""
+    if not isinstance(entry, dict) or not isinstance(entry.get("text"), str):
+        raise ValueError("entry is not an object with a text string")
+    logprobs = entry.get("token_logprobs", [])
+    if not isinstance(logprobs, list) or not all(type(lp) in (int, float) for lp in logprobs):
+        raise ValueError("token_logprobs is not a list of numbers")
+    finish = FinishReason(entry.get("finish_reason", "stop"))
+    return SampleOutput(entry["text"], _usable_logprobs(tuple(map(float, logprobs))), finish)
+
+
 class ResponseCache:
-    """Content-addressed on-disk store of per-sample generation payloads.
+    """Content-addressed on-disk store of generated samples, one JSON entry
+    ``{"text", "token_logprobs", "finish_reason"}`` per sample.
 
     Safe for concurrent use by the threads of one process.
     """
@@ -418,25 +438,33 @@ class ResponseCache:
     def _path(self, key: str) -> Path:
         return self.directory / f"{key}.json"
 
-    def get(self, key: str) -> Optional[dict]:
+    def get(self, key: str) -> Optional[SampleOutput]:
+        """The sample stored under ``key``, or None on a miss. An entry that is
+        not JSON, or not a sample (:func:`_cached_sample`), is a miss too, and
+        the next :meth:`put` of its key replaces it."""
         path = self._path(key)
         if not path.exists():
             self._count(hit=False)
             return None
         try:
-            payload = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
+            sample = _cached_sample(json.loads(path.read_text(encoding="utf-8")))
+        except (OSError, ValueError, OverflowError) as exc:
             logger.warning("cache entry %s unreadable (%s); treating as miss", key, exc)
             self._count(hit=False)
             return None
         self._count(hit=True)
-        return payload
+        return sample
 
-    def put(self, key: str, payload: dict) -> Path:
+    def put(self, key: str, sample: SampleOutput) -> Path:
         path = self._path(key)
         if path.exists():
             logger.info("cache entry %s overwritten (last write wins)", key)
-        text = json.dumps(payload, ensure_ascii=True)
+        entry = {
+            "text": sample.text,
+            "token_logprobs": list(sample.token_logprobs),
+            "finish_reason": sample.finish_reason.value,
+        }
+        text = json.dumps(entry, ensure_ascii=True)
         # a temp file of its own per writer: concurrent puts of one key each
         # replace the entry whole, and the last replace wins
         fd, tmp = tempfile.mkstemp(dir=self.directory, prefix=f"{key}.", suffix=".tmp")
@@ -473,13 +501,6 @@ class HttpBackendConfig:
 
 
 _FINISH_MAP = {"stop": FinishReason.STOP, "length": FinishReason.LENGTH}
-
-
-def _usable_logprobs(logprobs: Tuple[float, ...]) -> Tuple[float, ...]:
-    """``logprobs``, or () when one of them is non-finite or positive (``json``
-    reads ``-Infinity`` and ``NaN``): such a sample counts as one without
-    logprobs, where :class:`~uab.core.GenerationRecord` would reject it."""
-    return logprobs if all(math.isfinite(lp) and lp <= 0.0 for lp in logprobs) else ()
 
 
 def _retry_after_seconds(value: str) -> Optional[float]:
@@ -569,6 +590,7 @@ class HttpBackend:
 
         last_error = "no attempt made"
         for attempt in range(self.config.max_retries + 1):
+            wait = self.config.backoff_seconds * (2**attempt)
             try:
                 resp = self._post_once(payload)
             except requests.RequestException as exc:
@@ -593,23 +615,17 @@ class HttpBackend:
                         raise BackendError(last_error)
                     retry_after = resp.headers.get("Retry-After")
                     if retry_after is not None:
-                        delay = _retry_after_seconds(retry_after)
-                        if delay is None:
-                            delay = self.config.backoff_seconds * (2**attempt)
-                        delay = min(delay, self.config.timeout_seconds)
+                        asked = _retry_after_seconds(retry_after)
+                        wait = min(wait if asked is None else asked, self.config.timeout_seconds)
                         logger.warning("rate limited; honoring Retry-After=%s", retry_after)
-                        if attempt < self.config.max_retries:
-                            time.sleep(delay)
-                        continue
             if attempt < self.config.max_retries:
-                delay = self.config.backoff_seconds * (2**attempt)
                 logger.warning("retry %d/%d after %s", attempt + 1, self.config.max_retries, last_error)
-                time.sleep(delay)
+                time.sleep(wait)
         raise BackendError(f"request failed after {self.config.max_retries} retries ({last_error})")
 
     @staticmethod
-    def _parse_choice(choice: object) -> Tuple[str, Tuple[float, ...], FinishReason]:
-        """Text, token logprobs and finish reason of one reply choice.
+    def _parse_choice(choice: object) -> SampleOutput:
+        """The sample one reply choice holds.
 
         Raises :class:`BackendError` when the choice, its ``message`` or its
         ``logprobs`` is present but not a JSON object, or the content is not a
@@ -635,26 +651,18 @@ class HttpBackend:
         finish = _FINISH_MAP.get(choice.get("finish_reason"), FinishReason.ERROR)
         if choice.get("finish_reason") is None:
             finish = FinishReason.STOP
-        return text, logprobs, finish
+        return SampleOutput(text, logprobs, finish)
 
     # -- public API ----------------------------------------------------------
 
     def generate(self, request: BackendRequest) -> BackendResponse:
         n = request.sample_count
         keys = [self._cache_key(request, request.first_sample_index + i) for i in range(n)]
-        outputs: List[Optional[SampleOutput]] = [None] * n
-        if self.cache is not None:
-            for i, key in enumerate(keys):
-                payload = self.cache.get(key)
-                if payload is not None:
-                    outputs[i] = SampleOutput(
-                        text=payload["text"],
-                        token_logprobs=_usable_logprobs(tuple(payload.get("token_logprobs") or ())),
-                        finish_reason=FinishReason(payload.get("finish_reason", "stop")),
-                    )
+        outputs: List[Optional[SampleOutput]] = (
+            [None] * n if self.cache is None else [self.cache.get(key) for key in keys]
+        )
         missing = [i for i, out in enumerate(outputs) if out is None]
 
-        logprobs_missing = False
         if missing:
             payload = {
                 "model": self.config.model,
@@ -675,27 +683,20 @@ class HttpBackend:
                 )
             # every choice is parsed before any is cached: a malformed one fails
             # the whole request
-            parsed = [self._parse_choice(choice) for choice in choices]
-            for slot, (text, logprobs, finish) in zip(missing, parsed):
-                if request.want_logprobs and not logprobs and finish != FinishReason.ERROR:
-                    logprobs_missing = True
-                outputs[slot] = SampleOutput(text, logprobs, finish)
+            fetched = [self._parse_choice(choice) for choice in choices]
+            for slot, sample in zip(missing, fetched):
+                outputs[slot] = sample
                 if self.cache is not None:
-                    self.cache.put(
-                        keys[slot],
-                        {
-                            "text": text,
-                            "token_logprobs": list(logprobs),
-                            "finish_reason": finish.value,
-                        },
-                    )
-            if logprobs_missing:
+                    self.cache.put(keys[slot], sample)
+            if request.want_logprobs and any(
+                not s.token_logprobs and s.finish_reason != FinishReason.ERROR for s in fetched
+            ):
                 logger.warning(
                     "endpoint omitted token logprobs for %s, or sent unusable ones; "
                     "falling back to empty logprobs",
                     request.question_id,
                 )
-        return BackendResponse(samples=list(outputs), logprobs_missing=logprobs_missing)
+        return BackendResponse(samples=outputs)
 
 
 def _generate_or_error(backend, request: BackendRequest) -> Union[BackendResponse, BackendError]:

@@ -10,7 +10,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Optional, Tuple
+from typing import Mapping, Optional
 
 
 class ValidationError(ValueError):
@@ -45,11 +45,6 @@ class SignalKind(str, Enum):
 LOGPROB_SIGNALS = frozenset(
     {SignalKind.ANLL, SignalKind.TOTAL_NLL, SignalKind.TOKEN_VAR, SignalKind.MAX_TOKEN_NLL}
 )
-
-
-class Phase(str, Enum):
-    PHASE1 = "phase1"
-    PHASE2 = "phase2"
 
 
 class FinishReason(str, Enum):
@@ -155,27 +150,6 @@ class AllocationVector:
     def deficit(self) -> int:
         """Unspent units (positive only for skip-mode exits)."""
         return self.budget_effective - self.total_extras()
-
-
-@dataclass(frozen=True)
-class GenerationRecord:
-    """One model sample for one question."""
-
-    question_id: str
-    phase: Phase
-    sample_index: int
-    text: str
-    parsed_answer: Optional[str]
-    token_logprobs: Tuple[float, ...]
-    finish_reason: FinishReason = FinishReason.STOP
-
-    def __post_init__(self):
-        object.__setattr__(self, "token_logprobs", tuple(self.token_logprobs))
-        if self.sample_index < 0:
-            raise ValidationError("sample_index must be >= 0")
-        for lp in self.token_logprobs:
-            if not math.isfinite(lp) or lp > 0:
-                raise ValidationError(f"token logprobs must be finite and <= 0, got {lp}")
 
 
 @dataclass(frozen=True)

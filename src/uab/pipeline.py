@@ -26,6 +26,7 @@ from .backends import (
     BackendRequest,
     BackendResponse,
     JudgeLabel,
+    SampleOutput,
     VCS_INSTRUCTION,
     generate_wave,
     judge_classify_all,
@@ -36,9 +37,7 @@ from .core import (
     DifficultyEstimate,
     ExperimentResult,
     FinishReason,
-    GenerationRecord,
     LOGPROB_SIGNALS,
-    Phase,
     QuestionRecord,
     SignalKind,
     TaskKind,
@@ -177,8 +176,15 @@ def majority_vote(parsed_answers: Sequence[Optional[str]]) -> VoteTally:
     return VoteTally(counts=dict(counts), winner=winner)
 
 
+def _answer(sample: SampleOutput, task_kind: TaskKind) -> Optional[str]:
+    """The answer ``sample`` votes for; None, an abstention, when it errored."""
+    if sample.finish_reason == FinishReason.ERROR:
+        return None
+    return parse_answer(sample.text, task_kind)
+
+
 # ---------------------------------------------------------------------------
-# Difficulty estimation from Phase-1 records
+# Difficulty estimation from Phase-1 samples
 # ---------------------------------------------------------------------------
 
 
@@ -200,7 +206,7 @@ def _length_scores(questions: Sequence[QuestionRecord]) -> Dict[str, float]:
 
 def estimate_difficulties(
     questions: Sequence[QuestionRecord],
-    phase1_records: Mapping[str, Sequence[GenerationRecord]],
+    phase1_samples: Mapping[str, Sequence[SampleOutput]],
     signal_kind: SignalKind,
     temperature: float,
     external_probs: Optional[Mapping[str, float]] = None,
@@ -226,23 +232,23 @@ def estimate_difficulties(
         return estimates
 
     for q in questions:
-        records = [r for r in phase1_records.get(q.id, []) if r.finish_reason != FinishReason.ERROR]
+        samples = [s for s in phase1_samples.get(q.id, []) if s.finish_reason != FinishReason.ERROR]
         if signal_kind in LOGPROB_SIGNALS:
-            scored = [r for r in records if r.token_logprobs]
+            scored = [s.token_logprobs for s in samples if s.token_logprobs]
             if not scored:
                 estimates[q.id] = _fallback_estimate(q.id, signal_kind, temperature,
                                                      "no usable logprobs in Phase 1")
                 continue
-            score = sum(signals.logprob_score(signal_kind, r.token_logprobs) for r in scored) / len(scored)
+            score = sum(signals.logprob_score(signal_kind, lps) for lps in scored) / len(scored)
             prob = signals.score_to_prob(score, temperature)
             estimates[q.id] = DifficultyEstimate(q.id, score, prob, signal_kind)
         elif signal_kind == SignalKind.VCS:
-            if not records:
+            if not samples:
                 estimates[q.id] = _fallback_estimate(q.id, signal_kind, temperature,
                                                      "no Phase-1 generation")
                 continue
             try:
-                prob = signals.parse_vcs(records[0].text)
+                prob = signals.parse_vcs(samples[0].text)
             except signals.VcsUnparsableError as exc:
                 estimates[q.id] = _fallback_estimate(q.id, signal_kind, temperature, str(exc))
                 continue
@@ -250,7 +256,7 @@ def estimate_difficulties(
                 q.id, signals.prob_to_score(prob, temperature), prob, signal_kind
             )
         elif signal_kind == SignalKind.VOTE_ENTROPY:
-            answers = [r.parsed_answer for r in records if r.parsed_answer is not None]
+            answers = [a for a in (_answer(s, q.task_kind) for s in samples) if a is not None]
             if not answers:
                 estimates[q.id] = _fallback_estimate(q.id, signal_kind, temperature,
                                                      "all Phase-1 samples abstained")
@@ -310,37 +316,17 @@ def allocate_baseline(
 # ---------------------------------------------------------------------------
 
 
-def _generation_records(
-    question: QuestionRecord,
-    request: BackendRequest,
-    outcome: Union[BackendResponse, BackendError],
-    phase: Phase,
-) -> List[GenerationRecord]:
-    """Parsed records of one request's samples; a failed request gives error samples."""
-    first_index = request.first_sample_index
+#: What a failed request contributes in place of each sample it asked for.
+_ERROR_SAMPLE = SampleOutput("", (), FinishReason.ERROR)
+
+
+def _samples(request: BackendRequest, outcome: Union[BackendResponse, BackendError]) -> List[SampleOutput]:
+    """The samples of one request; a failed request gives error samples."""
     if isinstance(outcome, BackendError):
-        logger.warning("generation failed for %s (%s); recording error samples", question.id, outcome)
-        return [
-            GenerationRecord(question.id, phase, first_index + i, "", None, (), FinishReason.ERROR)
-            for i in range(request.sample_count)
-        ]
-    records = []
-    for i, sample in enumerate(outcome.samples):
-        parsed = None
-        if sample.finish_reason != FinishReason.ERROR:
-            parsed = parse_answer(sample.text, question.task_kind)
-        records.append(
-            GenerationRecord(
-                question_id=question.id,
-                phase=phase,
-                sample_index=first_index + i,
-                text=sample.text,
-                parsed_answer=parsed,
-                token_logprobs=sample.token_logprobs,
-                finish_reason=sample.finish_reason,
-            )
-        )
-    return records
+        logger.warning("generation failed for %s (%s); recording error samples",
+                       request.question_id, outcome)
+        return [_ERROR_SAMPLE] * request.sample_count
+    return outcome.samples
 
 
 def run_two_phase(
@@ -357,8 +343,8 @@ def run_two_phase(
     both phases. Samples that errored abstain from the vote; a question whose
     samples all abstained gets the empty-string sentinel and counts incorrect.
     Within a phase, requests go out as one wave of up to the backend's
-    ``max_in_flight``; records are assembled in question order, so results do
-    not depend on that width.
+    ``max_in_flight``; samples are kept per question in request order, so
+    results do not depend on that width.
     """
     if not questions:
         raise ValidationError("need at least one question")
@@ -387,13 +373,12 @@ def run_two_phase(
             first_sample_index=first_index,
         )
 
-    records: Dict[str, List[GenerationRecord]] = {}
+    samples: Dict[str, List[SampleOutput]] = {}
     for req, outcome in generate_wave(backend, (request(q, k, 0) for q in questions)):
-        qid = req.question_id
-        records[qid] = _generation_records(by_id[qid], req, outcome, Phase.PHASE1)
+        samples[req.question_id] = _samples(req, outcome)
 
     estimates = estimate_difficulties(
-        questions, records, config.signal_kind, config.budget.temperature, external_probs
+        questions, samples, config.signal_kind, config.budget.temperature, external_probs
     )
     probs = {qid: est.prob for qid, est in estimates.items()}
 
@@ -408,14 +393,13 @@ def run_two_phase(
 
     phase2 = (request(q, alloc.extras[q.id], k) for q in questions if alloc.extras.get(q.id, 0) > 0)
     for req, outcome in generate_wave(backend, phase2):
-        qid = req.question_id
-        records[qid].extend(_generation_records(by_id[qid], req, outcome, Phase.PHASE2))
+        # a new list: the Phase-1 one may be the response's own
+        samples[req.question_id] = samples[req.question_id] + _samples(req, outcome)
 
     results = []
     for q in questions:
-        parsed = [r.parsed_answer for r in records[q.id]]
         try:
-            final = majority_vote(parsed).winner
+            final = majority_vote([_answer(s, q.task_kind) for s in samples[q.id]]).winner
         except NoVotesError:
             final = ""
         correct = None

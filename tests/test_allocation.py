@@ -369,6 +369,30 @@ class TestThresholdExits:
         with pytest.raises(ValidationError, match="eligible"):
             apply_threshold_exits(probs, 4, cfg)
 
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            ThresholdExitConfig(),
+            ThresholdExitConfig(ExitKind.HARD, 0.5, ExitMode.REDISTRIBUTE),
+            ThresholdExitConfig(ExitKind.EASY, 0.5, ExitMode.SKIP),
+        ],
+    )
+    def test_each_probability_checked_once(self, monkeypatch, cfg):
+        import uab.allocation
+
+        calls = []
+        original = uab.allocation.check_prob
+
+        def counting(p, qid=None):
+            calls.append(qid)
+            return original(p, qid)
+
+        monkeypatch.setattr(uab.allocation, "check_prob", counting)
+        probs = {f"q{i}": (i + 0.5) / 100 for i in range(100)}
+        _eligible, alloc, saved = apply_threshold_exits(probs, 300, cfg)
+        assert sorted(calls) == sorted(probs)
+        assert alloc.total_extras() + saved == 300
+
     def test_theta_validation(self):
         with pytest.raises(ValidationError):
             ThresholdExitConfig(ExitKind.HARD, 1.0, ExitMode.SKIP)

@@ -22,6 +22,7 @@ from uab.backends import (
     JUDGE_PROMPT_TEMPLATE,
     JudgeLabel,
     ResponseCache,
+    SampleOutput,
     SimulatedBackend,
     SimulatedWorld,
     TwoPointLaw,
@@ -31,7 +32,7 @@ from uab.backends import (
     judge_classify,
     judge_classify_all,
 )
-from uab.core import BudgetSpec, FinishReason, QuestionRecord, ValidationError
+from uab.core import BudgetSpec, FinishReason, QuestionRecord, SignalKind, ValidationError
 from uab.harness import result_json_line
 from uab.pipeline import PipelineConfig, Policy, run_two_phase
 from uab.signals import anll, score_to_prob
@@ -216,7 +217,6 @@ class TestSimulatedBackend:
         world = make_world(m=2)
         backend = SimulatedBackend(world, run_seed=0)
         resp = backend.generate(BackendRequest("q00001", "prompt", 3, first_sample_index=1))
-        assert not resp.logprobs_missing
         assert resp.samples == [backend.sample_outcome("q00001", s) for s in (1, 2, 3)]
         for s in resp.samples:
             assert s.finish_reason == FinishReason.STOP
@@ -286,9 +286,11 @@ class TestResponseCache:
     def test_round_trip(self, tmp_path):
         cache = ResponseCache(tmp_path)
         key = ResponseCache.make_key("http://e", "m", "p", {"temperature": 0.9}, 0)
-        payload = {"text": "hello", "token_logprobs": [-0.5], "finish_reason": "stop"}
-        cache.put(key, payload)
-        assert cache.get(key) == payload
+        sample = SampleOutput("hello", (-0.5,), FinishReason.STOP)
+        cache.put(key, sample)
+        assert cache.get(key) == sample
+        entry = {"text": "hello", "token_logprobs": [-0.5], "finish_reason": "stop"}
+        assert json.loads((tmp_path / f"{key}.json").read_text()) == entry
 
     def test_missing_key_is_miss(self, tmp_path):
         cache = ResponseCache(tmp_path)
@@ -298,7 +300,7 @@ class TestResponseCache:
     def test_corruption_treated_as_miss(self, tmp_path, caplog):
         cache = ResponseCache(tmp_path)
         key = ResponseCache.make_key("e", "m", "p", {}, 1)
-        cache.put(key, {"text": "x"})
+        cache.put(key, SampleOutput("x", (), FinishReason.STOP))
         (tmp_path / f"{key}.json").write_text("{not json", encoding="utf-8")
         with caplog.at_level(logging.WARNING):
             assert cache.get(key) is None
@@ -307,10 +309,10 @@ class TestResponseCache:
     def test_overwrite_last_write_wins(self, tmp_path, caplog):
         cache = ResponseCache(tmp_path)
         key = ResponseCache.make_key("e", "m", "p", {}, 2)
-        cache.put(key, {"text": "first"})
+        cache.put(key, SampleOutput("first", (), FinishReason.STOP))
         with caplog.at_level(logging.INFO):
-            cache.put(key, {"text": "second"})
-        assert cache.get(key)["text"] == "second"
+            cache.put(key, SampleOutput("second", (), FinishReason.STOP))
+        assert cache.get(key).text == "second"
         assert "overwritten" in caplog.text
 
     def test_key_sensitivity(self):
@@ -354,17 +356,17 @@ class TestResponseCache:
 
         def put(i):
             for _ in range(20):
-                cache.put(key, {"text": f"writer {i}"})
+                cache.put(key, SampleOutput(f"writer {i}", (), FinishReason.STOP))
 
         assert self._hammer(put) == []
-        assert cache.get(key)["text"].startswith("writer ")
+        assert cache.get(key).text.startswith("writer ")
         assert list(tmp_path.glob("*.tmp")) == []
 
     def test_counters_under_concurrent_gets(self, tmp_path):
         cache = ResponseCache(tmp_path)
         present = ResponseCache.make_key("e", "m", "p", {}, 4)
         absent = ResponseCache.make_key("e", "m", "p", {}, 5)
-        cache.put(present, {"text": "x"})
+        cache.put(present, SampleOutput("x", (), FinishReason.STOP))
 
         def get(i):
             for _ in range(250):
@@ -480,6 +482,17 @@ def _http_backend(url, cache=None, retries=3, max_in_flight=8, timeout=5.0):
     return HttpBackend(cfg, cache=cache)
 
 
+#: Cache entries that are JSON but hold no sample.
+_MALFORMED_ENTRIES = [
+    {"token_logprobs": []},
+    {"text": "x", "finish_reason": "weird"},
+    {"text": "x", "token_logprobs": 5},
+    {"text": "x", "token_logprobs": ["a"]},
+    {"text": "x", "token_logprobs": [10**400]},
+    ["x"],
+]
+
+
 @pytest.fixture
 def recorded_sleeps(monkeypatch):
     """Waits asked of ``time.sleep``, which returns at once."""
@@ -494,7 +507,6 @@ class TestHttpBackend:
         backend = _http_backend(url)
         resp = backend.generate(BackendRequest("q1", "what is 2+2", 3, want_logprobs=True))
         assert len(resp.samples) == 3
-        assert not resp.logprobs_missing
         for s in resp.samples:
             assert len(s.token_logprobs) == 2
             assert s.finish_reason == FinishReason.STOP
@@ -527,7 +539,6 @@ class TestHttpBackend:
         backend = _http_backend(url)
         with caplog.at_level(logging.WARNING, logger="uab.backends"):
             resp = backend.generate(BackendRequest("q1", "p", 2, want_logprobs=True))
-        assert resp.logprobs_missing
         assert all(s.token_logprobs == () for s in resp.samples)
         assert "omitted token logprobs" in caplog.text
 
@@ -630,7 +641,6 @@ class TestHttpBackend:
             '"logprobs": {"content": [{"logprob": -0.1}, {"logprob": %s}]}}]}' % value
         ).encode()
         resp = _http_backend(url).generate(BackendRequest("q1", "p", 1))
-        assert resp.logprobs_missing
         assert resp.samples[0].token_logprobs == ()
         assert resp.samples[0].text == "\\boxed{1}"
 
@@ -639,12 +649,28 @@ class TestHttpBackend:
         cache = ResponseCache(tmp_path)
         backend = _http_backend(url, cache=cache)
         req = BackendRequest("q1", "p", 1)
-        cache.put(backend._cache_key(req, 0), {
+        (tmp_path / f"{backend._cache_key(req, 0)}.json").write_text(json.dumps({
             "text": "\\boxed{1}", "token_logprobs": [-0.1, float("-inf")], "finish_reason": "stop",
-        })
+        }))
         resp = backend.generate(req)
         assert state.requests == []
         assert resp.samples[0].token_logprobs == ()
+
+    @pytest.mark.parametrize("entry", _MALFORMED_ENTRIES)
+    def test_malformed_cache_entry_is_refetched(self, stub_server, tmp_path, entry):
+        url, state = stub_server
+        cache = ResponseCache(tmp_path)
+        backend = _http_backend(url, cache=cache)
+        req = BackendRequest("q1", "p", 2)
+        clean = _http_backend(url).generate(req)
+        key = backend._cache_key(req, 0)
+        (tmp_path / f"{key}.json").write_text(json.dumps(entry))
+        cache.put(backend._cache_key(req, 1), clean.samples[1])
+        # the stub answers choice 0 of the one-sample refetch like choice 0 before
+        assert backend.generate(req).samples == clean.samples
+        assert state.requests[-1][1]["n"] == 1
+        assert (cache.hits, cache.misses) == (1, 1)
+        assert cache.get(key) == clean.samples[0]
 
     def test_malformed_reply_exhausts_retries(self, stub_server):
         url, state = stub_server
@@ -832,6 +858,55 @@ class TestPhaseWaves:
         got, want = json.loads(degraded[3]), json.loads(clean[3])
         assert got["p_i"] == 0.5 != want["p_i"]
         assert got["final_answer"] == want["final_answer"]
+
+    @pytest.mark.parametrize("entry", _MALFORMED_ENTRIES)
+    def test_malformed_cache_entry_inside_a_wave_is_a_miss(self, stub_server, tmp_path, entry):
+        url, state = stub_server
+        questions = _wave_questions()
+        cache = ResponseCache(tmp_path)
+        clean = _result_lines(questions, _http_backend(url, cache=cache, max_in_flight=4))
+        posts = len(state.requests)
+        doomed = _http_backend(url)._cache_key(BackendRequest("w3", questions[3].prompt, 1), 0)
+        (tmp_path / f"{doomed}.json").write_text(json.dumps(entry))
+        replay = _result_lines(questions, _http_backend(url, cache=cache, max_in_flight=4))
+        assert replay == clean
+        assert len(state.requests) == posts + 1
+        assert cache.get(doomed) is not None
+
+    @pytest.mark.parametrize(
+        "signal, k", [(SignalKind.ANLL, 1), (SignalKind.VCS, 1), (SignalKind.VOTE_ENTROPY, 2)]
+    )
+    def test_error_sample_casts_no_vote_and_gives_no_signal(self, stub_server, signal, k):
+        # a refused choice whose text still parses: finish_reason alone must
+        # keep it out of the vote and out of every Phase-1 estimate
+        url, state = stub_server
+        questions = _wave_questions()
+        questions[3] = QuestionRecord(id="w3", prompt=questions[3].prompt, gold_answer="7")
+        doomed = questions[3].prompt
+
+        def reply(finish_reason):
+            def canned(body):
+                if not body["messages"][0]["content"].startswith(doomed):
+                    return None
+                choice = {
+                    "message": {"content": "The answer is \\boxed{7}. Confidence: 9"},
+                    "finish_reason": finish_reason,
+                    "logprobs": {"content": [{"logprob": -0.05}, {"logprob": -0.05}]},
+                }
+                return json.dumps({"choices": [choice] * body["n"]}).encode()
+            return canned
+
+        config = PipelineConfig(budget=BudgetSpec(3, len(questions)), signal_kind=signal, phase1_samples_k=k)
+        rows = {}
+        for finish_reason in ("stop", "content_filter"):
+            state.raw_reply = reply(finish_reason)
+            results = run_two_phase(questions, _http_backend(url, max_in_flight=4), config)
+            rows[finish_reason] = json.loads(result_json_line(results[3]))
+        assert rows["stop"]["final_answer"] == "7"
+        assert rows["stop"]["p_i"] > 0.5
+        assert rows["content_filter"]["final_answer"] == ""
+        assert rows["content_filter"]["correct"] is False
+        assert rows["content_filter"]["p_i"] == 0.5
 
     def test_generate_wave_yields_errors_in_request_order(self, stub_server):
         url, state = stub_server

@@ -7,9 +7,7 @@ from uab.core import (
     AllocationVector,
     BudgetSpec,
     DifficultyEstimate,
-    GenerationRecord,
     MissingProbabilityError,
-    Phase,
     QuestionRecord,
     SignalKind,
     ValidationError,
@@ -167,7 +165,3 @@ class TestDomainTypes:
             DifficultyEstimate("q", -0.1, 0.5, SignalKind.ANLL)
         with pytest.raises(ValidationError):
             DifficultyEstimate("q", 0.1, 1.5, SignalKind.ANLL)
-
-    def test_generation_record_rejects_positive_logprobs(self):
-        with pytest.raises(ValidationError):
-            GenerationRecord("q", Phase.PHASE1, 0, "t", None, (0.5,))
