@@ -10,7 +10,13 @@ The backend protocol: a backend has a ``generate(request) -> BackendResponse``
 method that raises :class:`BackendError` when a request fails for good, and may
 declare ``max_in_flight``, the number of ``generate`` calls it serves at once.
 :func:`generate_wave` sends a batch of independent requests within that bound;
-a backend that declares no ``max_in_flight`` is called serially.
+a backend that declares no ``max_in_flight`` is called serially. A backend may
+also have a ``prepare_wave(requests)`` hook, which :func:`generate_wave` calls
+with the whole wave before it sends any of it, so that the backend can do the
+wave's work at once (the simulator draws a wave in one vectorised pass). The
+samples still come back through ``generate``, one request at a time: that is
+the one place where a caller sees, counts or times what a backend returns, and
+a backend without the hook behaves the same.
 """
 
 from __future__ import annotations
@@ -205,7 +211,7 @@ class BackendRequest:
             raise ValidationError("first_sample_index must be >= 0")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SampleOutput:
     text: str
     token_logprobs: Tuple[float, ...]
@@ -225,6 +231,17 @@ _LANE_JUDGE = 2
 
 _MASK64 = (1 << 64) - 1
 
+#: Widest gap, in questions, that one bulk Philox draw runs across
+#: (:meth:`SimulatedBackend._blocks`).
+_SPAN_GAP = 64
+
+_UNIFORM_SHIFT = np.uint64(11)
+
+
+def _uniform(words: np.ndarray) -> np.ndarray:
+    """``Generator.random()`` of each raw Philox word: its top 53 bits over 2**53."""
+    return (words >> _UNIFORM_SHIFT) * (1.0 / 9007199254740992.0)
+
 
 def _sim_signal(perceived_p: float, world_temperature: float) -> Tuple[Tuple[float, ...], int]:
     """Token logprobs and verbal confidence of a sample whose question the
@@ -236,18 +253,9 @@ def _sim_signal(perceived_p: float, world_temperature: float) -> Tuple[Tuple[flo
     return (-anll_value,) * SIM_TOKEN_COUNT, confidence
 
 
-@dataclass(frozen=True)
-class _SimQuestion:
-    """What a question's samples share: its stream index, p*, gold answer,
-    its shared-draw mode, and in a noiseless world its signal."""
-
-    index: int
-    p_star: float
-    gold: str
-    shared_mode: bool
-    shared_outcome: bool
-    #: ``_sim_signal(p_star)``, or None when each sample draws its own noise.
-    signal: Optional[Tuple[Tuple[float, ...], int]]
+def _sample_key(request: BackendRequest) -> Tuple[str, int, int]:
+    """What a generation request's samples depend on in the simulated world."""
+    return request.question_id, request.first_sample_index, request.sample_count
 
 
 class SimulatedBackend:
@@ -260,10 +268,28 @@ class SimulatedBackend:
 
     Every draw comes from the Philox stream at counter
     ``[question, lane, index, 0]`` under the 128-bit key
-    ``(world seed, run seed)``. One bit generator serves all streams: it is
-    reset to a stream's counter, with an empty output buffer, before the
-    stream is read, which gives the draws of a fresh ``Philox`` at that
-    counter without building one.
+    ``(world seed, run seed)``: what a fresh ``Philox`` at that counter would
+    draw. A stream's first block of four raw words sits at counter
+    ``[question + 1, lane, index, 0]``, so the streams of one lane and index
+    are adjacent blocks in question order and :meth:`_blocks` reads a run of
+    them with one ``random_raw`` call. The question table (lane 0: the shared
+    mode, word 0 below rho, and the shared outcome, word 1 below p*) is drawn
+    for every question when the backend is built. A sample (lane 1) takes its
+    question's shared outcome in shared mode; otherwise it is correct when
+    word 0 of its block is below p*. An incorrect sample names distractor
+    ``int(word 1 * n_distractors)``. Each word reads as ``Generator.random()``
+    reads it. A noisy world adds ``normal(0, sigma)``, which the generator
+    draws from word 2 on. In about 0.7% of draws the ziggurat needs more than
+    the two words left, and it reads on into the next block: the first block
+    of stream ``(question + 1, lane, index)``, so that sample's noise is not
+    independent of that stream's draws. Changing this would change every
+    noisy transcript, so it stays.
+
+    :meth:`prepare_wave` records a wave of requests; the first :meth:`generate`
+    call after it draws the whole wave at once, and each call then hands out
+    the samples of its own request. In a noiseless world a sample depends on
+    its question and answer only, so each such pair is one shared immutable
+    :class:`SampleOutput`.
     """
 
     #: The one bit generator is shared by every call, so calls must not
@@ -278,7 +304,6 @@ class SimulatedBackend:
         self.run_seed = run_seed
         self.generation_samples = 0
         self.judge_calls = 0
-        self._questions: Dict[str, _SimQuestion] = {}
         key = ((world.config.rng_seed & _MASK64) << 64) | (run_seed & _MASK64)
         self._bits = np.random.Philox(key=key)
         self._generator = np.random.Generator(self._bits)
@@ -296,84 +321,164 @@ class SimulatedBackend:
             "has_uint32": 0,
             "uinteger": 0,
         }
+        cfg = world.config
+        m = cfg.m_questions
+        self._p_star = np.array([world.p_star[q.id] for q in world.questions])
+        table = _uniform(self._blocks(_LANE_QUESTION, np.arange(m), np.zeros(m, dtype=np.int64)))
+        # A sample is correct when word 0 of its block is below its question's
+        # threshold: p*, or, for a question in shared mode, 1.0 when the shared
+        # outcome is a success and 0.0 when not, as every word reads as [0, 1).
+        shared_mode = table[:, 0] < cfg.correlation_rho
+        shared_outcome = table[:, 1] < self._p_star
+        self._threshold = np.where(shared_mode, shared_outcome.astype(float), self._p_star)
+        #: Noiseless samples at ``question * (n_distractors + 1) + answer``,
+        #: and noiseless signals by question, each built on first use.
+        self._outputs: List[Optional[SampleOutput]] = [None] * (m * (cfg.n_distractors + 1))
+        self._signals: List[Optional[Tuple[Tuple[float, ...], int]]] = [None] * m
+        self._wave: List[BackendRequest] = []
+        self._drawn: Dict[Tuple[str, int, int], List[SampleOutput]] = {}
 
-    def _rng(self, question_index: int, lane: int, index: int) -> np.random.Generator:
-        """The shared generator, placed at the start of stream
-        ``(question_index, lane, index)``; valid until the next call."""
-        self._stream_state["state"]["counter"] = [question_index, lane, index, 0]
-        self._bits.state = self._stream_state
+    def _rng(
+        self, question_index: int, lane: int, index: int, block: Optional[np.ndarray] = None
+    ) -> np.random.Generator:
+        """The shared generator placed in stream ``(question_index, lane,
+        index)``, valid until the next call: at the stream's start, or, given
+        the stream's first ``block`` (a row of :meth:`_blocks`), past the
+        block's first two words, which are a sample's two uniforms."""
+        state = self._stream_state
+        if block is None:
+            state["state"]["counter"] = [question_index, lane, index, 0]
+            state["buffer_pos"] = 4
+        else:
+            state["state"]["counter"] = [question_index + 1, lane, index, 0]
+            state["buffer"] = block
+            state["buffer_pos"] = 2
+        self._bits.state = state
         return self._generator
 
-    def _question(self, qid: str) -> _SimQuestion:
-        cached = self._questions.get(qid)
-        if cached is not None:
-            return cached
-        if qid not in self.world.index:
+    def _blocks(self, lane: int, questions: np.ndarray, indices: np.ndarray) -> np.ndarray:
+        """The first block of each stream ``(questions[i], lane, indices[i])``,
+        as an ``(n, 4)`` array of raw Philox words.
+
+        Streams that share an index are read in spans of adjacent blocks, one
+        ``random_raw`` call per span. A span runs on across gaps of up to
+        ``_SPAN_GAP`` questions, and each question it skips costs one unused
+        block, so a span reads fewer than ``_SPAN_GAP`` blocks per stream it
+        serves. A wave in which every question draws the same index, such as
+        Phase 1, is one span with no unused block. A single stream, as
+        :meth:`sample_outcome` asks for, skips the sort.
+        """
+        if len(questions) == 1:
+            self._rng(int(questions[0]), lane, int(indices[0]))
+            return self._bits.random_raw(4).reshape(1, 4)
+        out = np.empty((len(questions), 4), dtype=np.uint64)
+        order = np.lexsort((questions, indices))
+        q = questions[order]
+        s = indices[order]
+        cuts = (np.nonzero((s[1:] != s[:-1]) | (q[1:] - q[:-1] > _SPAN_GAP))[0] + 1).tolist()
+        for lo, hi in zip([0, *cuts], [*cuts, len(q)]):
+            first = int(q[lo])
+            self._rng(first, lane, int(s[lo]))
+            span = self._bits.random_raw(4 * (int(q[hi - 1]) - first + 1)).reshape(-1, 4)
+            out[order[lo:hi]] = span[q[lo:hi] - first]
+        return out
+
+    def _index(self, qid: str) -> int:
+        index = self.world.index.get(qid)
+        if index is None:
             raise UnknownQuestionError(qid)
-        cfg = self.world.config
-        idx = self.world.index[qid]
-        p_star = self.world.p_star[qid]
-        rng = self._rng(idx, _LANE_QUESTION, 0)
-        u_mode = rng.random()
-        u_shared = rng.random()
-        question = _SimQuestion(
-            index=idx,
-            p_star=p_star,
-            gold=self.world.gold[qid],
-            shared_mode=u_mode < cfg.correlation_rho,
-            shared_outcome=bool(u_shared < p_star),
-            signal=None if cfg.signal_noise_sigma > 0 else _sim_signal(p_star, cfg.world_temperature),
+        return index
+
+    def _output(self, question: int, answer: int, signal: Tuple[Tuple[float, ...], int]) -> SampleOutput:
+        """A sample of ``question`` naming distractor ``answer``, or the gold
+        answer when ``answer`` is ``n_distractors``, with ``signal`` from
+        :func:`_sim_signal`."""
+        token_logprobs, confidence = signal
+        if answer == self.world.config.n_distractors:
+            text = self.world.questions[question].gold_answer
+        else:
+            text = f"wrong_{answer}"
+        return SampleOutput(
+            f"The final answer is \\boxed{{{text}}}. Confidence: {confidence}", token_logprobs, FinishReason.STOP
         )
-        self._questions[qid] = question
-        return question
+
+    def _shared_output(self, key: int) -> SampleOutput:
+        """The noiseless sample ``question * (n_distractors + 1) + answer``,
+        built on first use; each question's signal is computed once."""
+        cfg = self.world.config
+        question, answer = divmod(key, cfg.n_distractors + 1)
+        signal = self._signals[question]
+        if signal is None:
+            signal = self._signals[question] = _sim_signal(float(self._p_star[question]), cfg.world_temperature)
+        output = self._outputs[key] = self._output(question, answer, signal)
+        return output
+
+    def _draw(self, questions: np.ndarray, indices: np.ndarray) -> List[SampleOutput]:
+        """The samples ``(questions[i], indices[i])``, drawn together. The one
+        draw routine of :meth:`generate`, its waves and :meth:`sample_outcome`."""
+        cfg = self.world.config
+        blocks = self._blocks(_LANE_SAMPLE, questions, indices)
+        u = _uniform(blocks[:, :2])
+        answers = (u[:, 1] * cfg.n_distractors).astype(np.int64)
+        answers[u[:, 0] < self._threshold[questions]] = cfg.n_distractors
+        if cfg.signal_noise_sigma == 0:
+            # freed before the samples are built: a wave's peak memory is lower
+            del blocks, u
+            outputs = self._outputs
+            keys = (questions * (cfg.n_distractors + 1) + answers).tolist()
+            return [outputs[k] or self._shared_output(k) for k in keys]
+        samples = []
+        p = self._p_star[questions].tolist()
+        for q, s, answer, block, p_q in zip(questions.tolist(), indices.tolist(), answers.tolist(), blocks, p):
+            eps = float(self._rng(q, _LANE_SAMPLE, s, block).normal(0.0, cfg.signal_noise_sigma))
+            samples.append(self._output(q, answer, _sim_signal(p_q + eps, cfg.world_temperature)))
+        return samples
+
+    def _draw_requests(
+        self, requests: Sequence[BackendRequest]
+    ) -> Dict[Tuple[str, int, int], List[SampleOutput]]:
+        """The samples of each request, by :func:`_sample_key`, drawn together."""
+        counts = np.array([r.sample_count for r in requests], dtype=np.int64)
+        ends = np.cumsum(counts)
+        questions = np.repeat(np.array([self._index(r.question_id) for r in requests], dtype=np.int64), counts)
+        firsts = np.repeat(np.array([r.first_sample_index for r in requests], dtype=np.int64), counts)
+        indices = firsts + np.arange(ends[-1]) - np.repeat(ends - counts, counts)
+        samples = self._draw(questions, indices)
+        return {
+            _sample_key(r): samples[end - n:end]
+            for r, n, end in zip(requests, counts.tolist(), ends.tolist())
+        }
 
     def sample_outcome(self, qid: str, sample_index: int) -> SampleOutput:
-        cfg = self.world.config
-        # before the sample's stream is placed: a first call draws from the
-        # question's own stream
-        question = self._question(qid)
-        rng = self._rng(question.index, _LANE_SAMPLE, sample_index)
-        u_correct = rng.random()
-        u_distractor = rng.random()
-        if question.signal is None:
-            eps = float(rng.normal(0.0, cfg.signal_noise_sigma))
-            token_logprobs, confidence = _sim_signal(question.p_star + eps, cfg.world_temperature)
-        else:
-            token_logprobs, confidence = question.signal
-
-        correct = question.shared_outcome if question.shared_mode else (u_correct < question.p_star)
-        if correct:
-            answer = question.gold
-        else:
-            answer = f"wrong_{int(u_distractor * cfg.n_distractors)}"
-        return SampleOutput(
-            text=f"The final answer is \\boxed{{{answer}}}. Confidence: {confidence}",
-            token_logprobs=token_logprobs,
-            finish_reason=FinishReason.STOP,
-        )
+        return self._draw(np.array([self._index(qid)]), np.array([sample_index]))[0]
 
     def _judge_response(self, qid: str) -> str:
         cfg = self.world.config
-        idx = self.world.index[qid]
-        rng = self._rng(idx, _LANE_JUDGE, 0)
+        rng = self._rng(self._index(qid), _LANE_JUDGE, 0)
         eps = float(rng.normal(0.0, cfg.signal_noise_sigma)) if cfg.signal_noise_sigma > 0 else 0.0
         perceived = min(max(self.world.p_star[qid] + eps, 0.0), 1.0)
         return "easy" if perceived > 0.5 else "hard"
 
+    def prepare_wave(self, requests: Sequence[BackendRequest]) -> None:
+        """Record the generation requests of a wave; the next :meth:`generate`
+        call draws them all. Judge requests, and requests for questions the
+        world does not have, are left to their own :meth:`generate` call."""
+        self._wave = [r for r in requests if not r.judge and r.question_id in self.world.index]
+        self._drawn = {}
+
     def generate(self, request: BackendRequest) -> BackendResponse:
         if request.judge:
-            if request.question_id not in self.world.index:
-                raise UnknownQuestionError(request.question_id)
+            label = self._judge_response(request.question_id)
             self.judge_calls += 1
-            samples = [
-                SampleOutput(self._judge_response(request.question_id), (), FinishReason.STOP)
-                for _ in range(request.sample_count)
-            ]
-            return BackendResponse(samples=samples)
-        samples = [
-            self.sample_outcome(request.question_id, request.first_sample_index + i)
-            for i in range(request.sample_count)
-        ]
+            return BackendResponse(samples=[SampleOutput(label, (), FinishReason.STOP)] * request.sample_count)
+        if self._wave:
+            # drawn here rather than in prepare_wave, so that whoever times or
+            # wraps generate sees the wave's draw inside a generate call
+            self._drawn = self._draw_requests(self._wave)
+            self._wave = []
+        samples = self._drawn.pop(_sample_key(request), None)
+        if samples is None:
+            [samples] = self._draw_requests([request]).values()
         self.generation_samples += request.sample_count
         return BackendResponse(samples=samples)
 
@@ -713,19 +818,24 @@ def generate_wave(
 
     A request that fails with :class:`BackendError` yields the error in place
     of its response, so a failure touches its own request only; any other
-    exception propagates. When ``backend.max_in_flight`` is 1 or undeclared,
-    each request is drawn from ``requests``, sent and yielded before the next
-    one is drawn. Otherwise the whole wave is sent on a thread pool of that
-    width that lives for this call. The yielded sequence is the same either way.
+    exception propagates. The whole wave is handed to the backend's
+    ``prepare_wave`` hook, if it has one, before any request is sent. When
+    ``backend.max_in_flight`` is 1 or undeclared, each request is then sent
+    and yielded before the next one is sent. Otherwise the wave is sent on a
+    thread pool of that width that lives for this call. The yielded sequence
+    is the same either way.
     """
+    batch = list(requests)
+    prepare_wave = getattr(backend, "prepare_wave", None)
+    if prepare_wave is not None:
+        prepare_wave(batch)
     width = getattr(backend, "max_in_flight", 1)
     if width <= 1:
-        for request in requests:
+        for request in batch:
             yield request, _generate_or_error(backend, request)
         return
     from concurrent.futures import ThreadPoolExecutor
 
-    batch = list(requests)
     if not batch:
         return
     with ThreadPoolExecutor(max_workers=min(width, len(batch)), thread_name_prefix="uab-wave") as pool:

@@ -28,7 +28,15 @@ from .allocation import (
     sensitivity_gap,
     verify_kkt,
 )
-from .backends import HttpBackend, HttpBackendConfig, ResponseCache, SimulatedBackend, SimulatedWorld, WorldConfig
+from .backends import (
+    BackendRequest,
+    HttpBackend,
+    HttpBackendConfig,
+    ResponseCache,
+    SimulatedBackend,
+    SimulatedWorld,
+    WorldConfig,
+)
 from .core import (
     AllocationVector,
     QuestionRecord,
@@ -99,6 +107,10 @@ def pearson_r(x: Sequence[float], y: Sequence[float]) -> float:
     return sxy / math.sqrt(sxx * syy)
 
 
+#: ``json.dumps`` with these settings builds a new encoder on every call.
+_RESULT_ENCODER = json.JSONEncoder(ensure_ascii=True, separators=(",", ":"))
+
+
 def result_json_line(result) -> str:
     """Fixed-order JSON line for one ExperimentResult."""
     payload = {
@@ -110,7 +122,7 @@ def result_json_line(result) -> str:
         "anll": result.difficulty.score,
         "p_i": result.difficulty.prob,
     }
-    return json.dumps(payload, ensure_ascii=True, separators=(",", ":"))
+    return _RESULT_ENCODER.encode(payload)
 
 
 def write_results_jsonl(results, path: Path) -> None:
@@ -396,6 +408,35 @@ def _check_simulator_inversion(rng: np.random.Generator) -> CheckResult:
     return CheckResult("simulator_inversion", passed, count, worst)
 
 
+def _check_simulator_waves(rng: np.random.Generator) -> CheckResult:
+    """Samples drawn as one wave equal the same requests drawn one at a time,
+    in a noiseless and a noisy world: the wave is prepared in one shuffled
+    order and generated in another, with judge calls mixed in. ``worst``
+    counts the requests that got other samples (or another label)."""
+    count = 0
+    differ = 0
+    for sigma in (0.0, 0.15):
+        world = SimulatedWorld(WorldConfig(
+            m_questions=300, signal_noise_sigma=sigma, correlation_rho=0.3,
+            rng_seed=int(rng.integers(0, 2**31)),
+        ))
+        # scattered questions and sample indices, as Phase 2 asks for them
+        calls = [
+            BackendRequest(q.id, q.prompt, int(rng.integers(1, 4)), first_sample_index=int(rng.integers(0, 6)))
+            for q in world.questions
+            if rng.random() < 0.5
+        ] + [BackendRequest(q.id, q.prompt, 1, judge=True) for q in world.questions[::10]]
+        one_at_a_time = SimulatedBackend(world, run_seed=3)
+        expected = [one_at_a_time.generate(r).samples for r in calls]
+        wave = SimulatedBackend(world, run_seed=3)
+        wave.prepare_wave([calls[i] for i in rng.permutation(len(calls))])
+        for i in rng.permutation(len(calls)).tolist():
+            samples = wave.generate(calls[i]).samples
+            differ += samples != expected[i]
+            count += len(samples)
+    return CheckResult("simulator_waves", differ == 0, count, float(differ))
+
+
 def verify_suite(rng_seed: int = 0, verbose: bool = True) -> VerificationReport:
     """Run every solver and simulator guarantee check; nonzero exit via CLI."""
     rng = np.random.default_rng(rng_seed)
@@ -406,6 +447,7 @@ def verify_suite(rng_seed: int = 0, verbose: bool = True) -> VerificationReport:
         _check_regret(rng),
         _check_telescoping(rng),
         _check_simulator_inversion(rng),
+        _check_simulator_waves(rng),
     ]
     report = VerificationReport(checks)
     if verbose:

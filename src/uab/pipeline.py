@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import logging
 import re
-from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, List, Mapping, Optional, Sequence, Union
@@ -126,8 +125,14 @@ def _last_boxed(text: str) -> Optional[str]:
     start = text.rfind(_BOXED_MARK)
     if start < 0:
         return None
-    depth = 1
     begin = start + len(_BOXED_MARK)
+    close = text.find("}", begin)
+    if close < 0:
+        return None
+    if text.find("{", begin, close) < 0:
+        return text[begin:close]
+    # nested braces: the box closes where the depth returns to zero
+    depth = 1
     for j in range(begin, len(text)):
         ch = text[j]
         if ch == "{":
@@ -167,13 +172,15 @@ def majority_vote(parsed_answers: Sequence[Optional[str]]) -> VoteTally:
     Abstentions (None) do not vote. Raises :class:`NoVotesError` when every
     sample abstained.
     """
-    votes = [a for a in parsed_answers if a is not None]
-    if not votes:
+    counts: Dict[str, int] = {}
+    for answer in parsed_answers:
+        if answer is not None:
+            counts[answer] = counts.get(answer, 0) + 1
+    if not counts:
         raise NoVotesError("no votes")
-    counts = Counter(votes)
     top = max(counts.values())
     winner = min(a for a, c in counts.items() if c == top)
-    return VoteTally(counts=dict(counts), winner=winner)
+    return VoteTally(counts=counts, winner=winner)
 
 
 def _answer(sample: SampleOutput, task_kind: TaskKind) -> Optional[str]:
@@ -210,8 +217,14 @@ def estimate_difficulties(
     signal_kind: SignalKind,
     temperature: float,
     external_probs: Optional[Mapping[str, float]] = None,
+    phase1_answers: Optional[Mapping[str, Sequence[Optional[str]]]] = None,
 ) -> Dict[str, DifficultyEstimate]:
-    """Turn Phase-1 outputs into per-question success-probability estimates."""
+    """Turn Phase-1 outputs into per-question success-probability estimates.
+
+    ``phase1_answers`` holds, by question, the answers of ``phase1_samples``
+    as :func:`_answer` gives them; vote entropy reads them there rather than
+    parse the samples again.
+    """
     estimates: Dict[str, DifficultyEstimate] = {}
     if signal_kind == SignalKind.EXTERNAL:
         if external_probs is None:
@@ -256,7 +269,11 @@ def estimate_difficulties(
                 q.id, signals.prob_to_score(prob, temperature), prob, signal_kind
             )
         elif signal_kind == SignalKind.VOTE_ENTROPY:
-            answers = [a for a in (_answer(s, q.task_kind) for s in samples) if a is not None]
+            if phase1_answers is not None:
+                parsed = phase1_answers[q.id]
+            else:
+                parsed = [_answer(s, q.task_kind) for s in samples]
+            answers = [a for a in parsed if a is not None]
             if not answers:
                 estimates[q.id] = _fallback_estimate(q.id, signal_kind, temperature,
                                                      "all Phase-1 samples abstained")
@@ -376,11 +393,17 @@ def run_two_phase(
     samples: Dict[str, List[SampleOutput]] = {}
     for req, outcome in generate_wave(backend, (request(q, k, 0) for q in questions)):
         samples[req.question_id] = _samples(req, outcome)
+    # each sample is parsed once, here or in Phase 2, for both the vote and
+    # the vote-entropy estimate
+    answers = {q.id: [_answer(s, q.task_kind) for s in samples[q.id]] for q in questions}
 
     estimates = estimate_difficulties(
-        questions, samples, config.signal_kind, config.budget.temperature, external_probs
+        questions, samples, config.signal_kind, config.budget.temperature, external_probs, answers
     )
     probs = {qid: est.prob for qid, est in estimates.items()}
+    # Phase-1 samples are not read past the estimate; freeing them before
+    # Phase 2 is drawn lowers a run's peak memory
+    del samples
 
     if config.policy == Policy.UAB:
         _, alloc, _saved = apply_threshold_exits(probs, config.phase2_budget, config.threshold_exit)
@@ -393,13 +416,13 @@ def run_two_phase(
 
     phase2 = (request(q, alloc.extras[q.id], k) for q in questions if alloc.extras.get(q.id, 0) > 0)
     for req, outcome in generate_wave(backend, phase2):
-        # a new list: the Phase-1 one may be the response's own
-        samples[req.question_id] = samples[req.question_id] + _samples(req, outcome)
+        task_kind = by_id[req.question_id].task_kind
+        answers[req.question_id].extend(_answer(s, task_kind) for s in _samples(req, outcome))
 
     results = []
     for q in questions:
         try:
-            final = majority_vote([_answer(s, q.task_kind) for s in samples[q.id]]).winner
+            final = majority_vote(answers[q.id]).winner
         except NoVotesError:
             final = ""
         correct = None

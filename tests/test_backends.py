@@ -193,6 +193,100 @@ class TestSimulatedBackend:
             resp = interleaved.generate(BackendRequest(qid, "prompt", 1, first_sample_index=s))
             assert resp.samples == [expected[qid, s]]
 
+    def test_blocks_match_a_fresh_philox_at_each_counter(self):
+        # scattered streams with repeats and gaps on both sides of the span gap
+        world = make_world(m=2, seed=2**63 + 5)
+        backend = SimulatedBackend(world, run_seed=7)
+        key = (world.config.rng_seed << 64) | backend.run_seed
+        rng = np.random.default_rng(4)
+        for size in (1, 2, 5, 300):
+            questions = rng.integers(0, 5000, size=size)
+            questions[: size // 3] = rng.integers(0, 40, size=size // 3)
+            indices = rng.integers(0, 3, size=size)
+            for lane in (0, 1, 2):
+                blocks = backend._blocks(lane, questions, indices)
+                for q, s, block in zip(questions.tolist(), indices.tolist(), blocks):
+                    fresh = np.random.Philox(key=key, counter=[q, lane, s, 0])
+                    assert block.tolist() == fresh.random_raw(4).tolist()
+
+    def test_spans_cross_gaps_of_up_to_64_questions(self):
+        class CountingBits:
+            def __init__(self, bits):
+                self.bits = bits
+                self.words = 0
+
+            state = property(lambda self: self.bits.state, lambda self, value: setattr(self.bits, "state", value))
+
+            def random_raw(self, size):
+                self.words += size
+                return self.bits.random_raw(size)
+
+        backend = SimulatedBackend(make_world(m=2), run_seed=0)
+        backend._bits = CountingBits(backend._bits)
+        # spans [0, 5] and [1000, 1064] at index 0, and [5] alone at index 1
+        questions = np.array([1064, 0, 5, 1000, 5])
+        backend._blocks(1, questions, np.array([0, 0, 0, 0, 1]))
+        assert backend._bits.words == 4 * (6 + 65 + 1)
+
+    @pytest.mark.parametrize("sigma, rho", [(0.0, 0.0), (0.0, 0.5), (0.15, 0.3)])
+    def test_wave_equals_requests_one_at_a_time(self, sigma, rho):
+        world = make_world(m=300, sigma=sigma, rho=rho, seed=8)
+        rng = random.Random(6)
+        # Phase-1 requests for every question, then scattered Phase-2 ones
+        phase1 = [BackendRequest(q.id, "p", 1) for q in world.questions]
+        phase2 = [
+            BackendRequest(q.id, "p", rng.randint(1, 5), first_sample_index=rng.randint(1, 3))
+            for q in world.questions
+            if rng.random() < 0.3
+        ]
+        for requests in (phase1, phase2):
+            alone = SimulatedBackend(world, run_seed=1)
+            expected = {r: alone.generate(r).samples for r in requests}
+            waved = SimulatedBackend(world, run_seed=1)
+            shuffled = requests[:]
+            rng.shuffle(shuffled)
+            waved.prepare_wave(shuffled)
+            rng.shuffle(shuffled)
+            for t, r in enumerate(shuffled):
+                if t % 9 == 0:
+                    judge_classify(world.questions[t], waved)
+                assert waved.generate(r).samples == expected[r]
+            assert waved.generation_samples == alone.generation_samples
+
+    def test_noiseless_samples_of_one_answer_are_one_object(self):
+        world = make_world(m=1, probs=[0.5])
+        backend = SimulatedBackend(world, run_seed=0)
+        samples = backend.generate(BackendRequest("q00000", "p", 40)).samples
+        assert len({s.text for s in samples}) == len({id(s) for s in samples}) > 1
+
+    def test_wave_leaves_unknown_questions_to_their_own_request(self):
+        world = make_world(m=2)
+        backend = SimulatedBackend(world, run_seed=0)
+        requests = [BackendRequest(qid, "p", 2) for qid in ("q00000", "nope", "q00001")]
+        outcomes = generate_wave(backend, requests)
+        assert next(outcomes)[1].samples == [backend.sample_outcome("q00000", s) for s in (0, 1)]
+        with pytest.raises(UnknownQuestionError):
+            next(outcomes)
+
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_generate_wave_prepares_the_whole_wave_first(self, width):
+        calls = []
+
+        class Recording:
+            max_in_flight = width
+
+            def prepare_wave(self, requests):
+                calls.append(("prepare", [r.question_id for r in requests]))
+
+            def generate(self, request):
+                calls.append(("generate", request.question_id))
+                return BackendResponse([])
+
+        requests = (BackendRequest(f"q{i}", "p", 1) for i in range(5))
+        assert [r.question_id for r, _ in generate_wave(Recording(), requests)] == [f"q{i}" for i in range(5)]
+        assert calls[0] == ("prepare", [f"q{i}" for i in range(5)])
+        assert sorted(calls[1:]) == [("generate", f"q{i}") for i in range(5)]
+
     def test_different_run_seeds_differ(self):
         world = make_world(m=1, probs=[0.5])
         t1 = [SimulatedBackend(world, run_seed=0).sample_outcome("q00000", s).text for s in range(30)]

@@ -1,15 +1,17 @@
 import csv
+import hashlib
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from uab.backends import BetaLaw, WorldConfig
-from uab.core import BudgetSpec, ValidationError
+from uab.backends import BetaLaw, FixedProbs, WorldConfig
+from uab.core import BudgetSpec, DifficultyEstimate, ExperimentResult, SignalKind, ValidationError
 from uab.harness import (
     ExperimentConfig,
     pearson_r,
+    result_json_line,
     run_experiment,
     verify_suite,
 )
@@ -201,6 +203,7 @@ class TestVerifySuite:
         out = capsys.readouterr().out
         assert "oracle_equivalence: pass" in out
         assert "kkt_certification: pass" in out
+        assert "simulator_waves: pass" in out
         assert "all checks passed" in out
 
     def test_detector_sensitivity(self):
@@ -212,3 +215,57 @@ class TestVerifySuite:
         probs = {"q1": 0.5, "q2": 0.5, "q3": 0.5}
         bad = AllocationVector({"q1": 6, "q2": 0, "q3": 0}, 6)
         assert not verify_kkt(bad, probs).satisfied
+
+
+#: Forty fixed success probabilities in a scrambled order.
+GOLDEN_PROBS = tuple((i * 37 % 40 + 0.5) / 40 for i in range(40))
+
+#: SHA-256 of the results JSONL of seeds 0 and 1, concatenated, for each
+#: (correlation rho, signal). Noiseless FixedProbs worlds draw Philox uniforms
+#: only, so these do not depend on numpy's distribution code.
+GOLDEN_DIGESTS = {
+    (0.0, SignalKind.ANLL): "63b419e6d0a68b971ff002235e2f1644af1731dbe439f8fb307056af4b727b6e",
+    (0.0, SignalKind.VCS): "2a0a83d9582f9f3662b35c341a8df18c2f123f68c0fd0242b3c93dfe51e4264b",
+    (0.0, SignalKind.VOTE_ENTROPY): "4c2ffe16dd0d8ffe6324413cc3e5328ad9e36c79b4c6eb98311b6ab6b66021de",
+    (0.3, SignalKind.ANLL): "37c9b13ba68bb5be96e48e6395ed60e4be9536e49c7dde54650e3b3e26d1b606",
+    (0.3, SignalKind.VCS): "6e08e8695c6465bc595bf3b08c80c1fbd3bd76d8822b04e099c6460b0a66a80b",
+    (0.3, SignalKind.VOTE_ENTROPY): "1e3f7036cc2c51326bfe0a708bc64d2307c5c758ab32faf3120cb3edf90bbb95",
+}
+
+
+class TestTranscripts:
+    @pytest.mark.parametrize("rho, signal", sorted(GOLDEN_DIGESTS, key=lambda key: (key[0], key[1].value)))
+    def test_golden_results_digest(self, tmp_path, rho, signal):
+        k = 2 if signal == SignalKind.VOTE_ENTROPY else 1
+        config = ExperimentConfig(
+            pipeline=PipelineConfig(budget=BudgetSpec(4, 40), signal_kind=signal, phase1_samples_k=k),
+            world=WorldConfig(m_questions=40, prob_law=FixedProbs(GOLDEN_PROBS), correlation_rho=rho, rng_seed=5),
+            seeds=(0, 1),
+            output_dir=tmp_path,
+        )
+        run_experiment(config)
+        digest = hashlib.sha256()
+        for seed in (0, 1):
+            digest.update((tmp_path / f"uab_seed{seed}.jsonl").read_bytes())
+        assert digest.hexdigest() == GOLDEN_DIGESTS[rho, signal]
+
+    def test_result_line_equals_json_dumps(self):
+        for answer, correct, score in (("42", True, 0.25), ("\u00e9\u2211", None, 1e-300), ("", False, 1 / 3)):
+            result = ExperimentResult(
+                question_id="q\u00ef1",
+                final_answer=answer,
+                correct=correct,
+                samples_used=3,
+                difficulty=DifficultyEstimate("q\u00ef1", score, 0.5, SignalKind.ANLL),
+                policy="uab",
+            )
+            payload = {
+                "question_id": result.question_id,
+                "policy": result.policy,
+                "final_answer": answer,
+                "correct": correct,
+                "samples_used": 3,
+                "anll": score,
+                "p_i": 0.5,
+            }
+            assert result_json_line(result) == json.dumps(payload, ensure_ascii=True, separators=(",", ":"))

@@ -1,4 +1,6 @@
 import math
+import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -34,6 +36,7 @@ from uab.pipeline import (
     parse_answer,
     run_two_phase,
 )
+from uab import pipeline
 
 
 def sim_setup(probs, n_per_question, sigma=0.0, rho=0.0, world_seed=3, run_seed=0, **world_kw):
@@ -89,6 +92,37 @@ class TestParseAnswer:
     def test_big_integers_exact(self):
         assert canonicalize_answer("12345678901234567890") == "12345678901234567890"
 
+    def test_last_boxed_matches_a_character_scan(self):
+        def scan(text):
+            # the brace-depth scan over every character after the last mark
+            start = text.rfind("\\boxed{")
+            if start < 0:
+                return None
+            depth = 1
+            begin = start + len("\\boxed{")
+            for j in range(begin, len(text)):
+                if text[j] == "{":
+                    depth += 1
+                elif text[j] == "}":
+                    depth -= 1
+                    if depth == 0:
+                        return text[begin:j]
+            return None
+
+        rng = random.Random(20261018)
+        pieces = ["\\boxed{", "{", "{", "}", "}", "}", "1", "23"]
+        kinds = Counter()
+        for _ in range(20000):
+            text = "".join(rng.choice(pieces) for _ in range(rng.randint(0, 12)))
+            expected = scan(text)
+            assert pipeline._last_boxed(text) == expected, text
+            if expected is None:
+                kinds["none"] += 1
+            else:
+                kinds["nested" if "{" in expected else "flat"] += 1
+        # both the direct slice and the depth scan are exercised
+        assert min(kinds["none"], kinds["flat"], kinds["nested"]) > 300, kinds
+
 
 class TestMajorityVote:
     def test_strict_majority(self):
@@ -106,6 +140,20 @@ class TestMajorityVote:
     def test_all_abstain_errors(self):
         with pytest.raises(NoVotesError, match="no votes"):
             majority_vote([None, None])
+
+    def test_matches_a_counter_tally(self):
+        rng = random.Random(5)
+        for _ in range(3000):
+            answers = [rng.choice(["7", "10", "a", "A", "", None]) for _ in range(rng.randint(1, 8))]
+            counts = Counter(a for a in answers if a is not None)
+            if not counts:
+                with pytest.raises(NoVotesError):
+                    majority_vote(answers)
+                continue
+            tally = majority_vote(answers)
+            top = max(counts.values())
+            assert list(tally.counts.items()) == list(counts.items())
+            assert tally.winner == min(a for a, c in counts.items() if c == top)
 
 
 class TestAllocateBaseline:
@@ -326,6 +374,24 @@ class TestRunTwoPhase:
         # the patch does stop a backend that declares a wider wave
         with pytest.raises(AssertionError, match="thread pool"):
             list(generate_wave(Wide(), [BackendRequest("q00000", "p", 1)]))
+
+    @pytest.mark.parametrize("signal, k", [
+        (SignalKind.ANLL, 1), (SignalKind.VCS, 1), (SignalKind.VOTE_ENTROPY, 2),
+    ])
+    def test_each_sample_parsed_once(self, monkeypatch, signal, k):
+        parsed = []
+        original = pipeline.parse_answer
+
+        def counting(text, task_kind):
+            parsed.append(text)
+            return original(text, task_kind)
+
+        monkeypatch.setattr(pipeline, "parse_answer", counting)
+        probs = list(np.random.default_rng(2).beta(2, 2, size=100))
+        world, backend, budget = sim_setup(probs, n_per_question=4)
+        cfg = PipelineConfig(budget=budget, signal_kind=signal, phase1_samples_k=k)
+        results = run_two_phase(world.questions, backend, cfg)
+        assert len(parsed) == sum(r.samples_used for r in results) == 400
 
     def test_determinism_byte_for_byte(self):
         from uab.harness import result_json_line
