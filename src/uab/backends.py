@@ -365,12 +365,8 @@ class SimulatedBackend:
         ``_SPAN_GAP`` questions, and each question it skips costs one unused
         block, so a span reads fewer than ``_SPAN_GAP`` blocks per stream it
         serves. A wave in which every question draws the same index, such as
-        Phase 1, is one span with no unused block. A single stream, as
-        :meth:`sample_outcome` asks for, skips the sort.
+        Phase 1, is one span with no unused block.
         """
-        if len(questions) == 1:
-            self._rng(int(questions[0]), lane, int(indices[0]))
-            return self._bits.random_raw(4).reshape(1, 4)
         out = np.empty((len(questions), 4), dtype=np.uint64)
         order = np.lexsort((questions, indices))
         q = questions[order]

@@ -107,10 +107,6 @@ def pearson_r(x: Sequence[float], y: Sequence[float]) -> float:
     return sxy / math.sqrt(sxx * syy)
 
 
-#: ``json.dumps`` with these settings builds a new encoder on every call.
-_RESULT_ENCODER = json.JSONEncoder(ensure_ascii=True, separators=(",", ":"))
-
-
 def result_json_line(result) -> str:
     """Fixed-order JSON line for one ExperimentResult."""
     payload = {
@@ -122,7 +118,7 @@ def result_json_line(result) -> str:
         "anll": result.difficulty.score,
         "p_i": result.difficulty.prob,
     }
-    return _RESULT_ENCODER.encode(payload)
+    return json.dumps(payload, ensure_ascii=True, separators=(",", ":"))
 
 
 def write_results_jsonl(results, path: Path) -> None:

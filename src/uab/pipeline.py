@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import logging
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, List, Mapping, Optional, Sequence, Union
@@ -125,14 +126,8 @@ def _last_boxed(text: str) -> Optional[str]:
     start = text.rfind(_BOXED_MARK)
     if start < 0:
         return None
-    begin = start + len(_BOXED_MARK)
-    close = text.find("}", begin)
-    if close < 0:
-        return None
-    if text.find("{", begin, close) < 0:
-        return text[begin:close]
-    # nested braces: the box closes where the depth returns to zero
     depth = 1
+    begin = start + len(_BOXED_MARK)
     for j in range(begin, len(text)):
         ch = text[j]
         if ch == "{":
@@ -172,15 +167,13 @@ def majority_vote(parsed_answers: Sequence[Optional[str]]) -> VoteTally:
     Abstentions (None) do not vote. Raises :class:`NoVotesError` when every
     sample abstained.
     """
-    counts: Dict[str, int] = {}
-    for answer in parsed_answers:
-        if answer is not None:
-            counts[answer] = counts.get(answer, 0) + 1
-    if not counts:
+    votes = [a for a in parsed_answers if a is not None]
+    if not votes:
         raise NoVotesError("no votes")
+    counts = Counter(votes)
     top = max(counts.values())
     winner = min(a for a, c in counts.items() if c == top)
-    return VoteTally(counts=counts, winner=winner)
+    return VoteTally(counts=dict(counts), winner=winner)
 
 
 def _answer(sample: SampleOutput, task_kind: TaskKind) -> Optional[str]:
@@ -222,8 +215,8 @@ def estimate_difficulties(
     """Turn Phase-1 outputs into per-question success-probability estimates.
 
     ``phase1_answers`` holds, by question, the answers of ``phase1_samples``
-    as :func:`_answer` gives them; vote entropy reads them there rather than
-    parse the samples again.
+    as :func:`_answer` gives them; vote entropy needs them and reads them there
+    rather than parse the samples again.
     """
     estimates: Dict[str, DifficultyEstimate] = {}
     if signal_kind == SignalKind.EXTERNAL:
@@ -269,11 +262,9 @@ def estimate_difficulties(
                 q.id, signals.prob_to_score(prob, temperature), prob, signal_kind
             )
         elif signal_kind == SignalKind.VOTE_ENTROPY:
-            if phase1_answers is not None:
-                parsed = phase1_answers[q.id]
-            else:
-                parsed = [_answer(s, q.task_kind) for s in samples]
-            answers = [a for a in parsed if a is not None]
+            if phase1_answers is None:
+                raise ValidationError("vote entropy requires the Phase-1 answers")
+            answers = [a for a in phase1_answers[q.id] if a is not None]
             if not answers:
                 estimates[q.id] = _fallback_estimate(q.id, signal_kind, temperature,
                                                      "all Phase-1 samples abstained")

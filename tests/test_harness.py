@@ -7,11 +7,10 @@ import numpy as np
 import pytest
 
 from uab.backends import BetaLaw, FixedProbs, WorldConfig
-from uab.core import BudgetSpec, DifficultyEstimate, ExperimentResult, SignalKind, ValidationError
+from uab.core import BudgetSpec, SignalKind, ValidationError
 from uab.harness import (
     ExperimentConfig,
     pearson_r,
-    result_json_line,
     run_experiment,
     verify_suite,
 )
@@ -248,24 +247,3 @@ class TestTranscripts:
         for seed in (0, 1):
             digest.update((tmp_path / f"uab_seed{seed}.jsonl").read_bytes())
         assert digest.hexdigest() == GOLDEN_DIGESTS[rho, signal]
-
-    def test_result_line_equals_json_dumps(self):
-        for answer, correct, score in (("42", True, 0.25), ("\u00e9\u2211", None, 1e-300), ("", False, 1 / 3)):
-            result = ExperimentResult(
-                question_id="q\u00ef1",
-                final_answer=answer,
-                correct=correct,
-                samples_used=3,
-                difficulty=DifficultyEstimate("q\u00ef1", score, 0.5, SignalKind.ANLL),
-                policy="uab",
-            )
-            payload = {
-                "question_id": result.question_id,
-                "policy": result.policy,
-                "final_answer": answer,
-                "correct": correct,
-                "samples_used": 3,
-                "anll": score,
-                "p_i": 0.5,
-            }
-            assert result_json_line(result) == json.dumps(payload, ensure_ascii=True, separators=(",", ":"))
