@@ -243,6 +243,11 @@ def _uniform(words: np.ndarray) -> np.ndarray:
     return (words >> _UNIFORM_SHIFT) * (1.0 / 9007199254740992.0)
 
 
+def _noise(sigma: float, u: float, v: float) -> float:
+    """The Box–Muller ``normal(0, sigma)`` draw of two uniforms in [0, 1)."""
+    return sigma * math.sqrt(-2.0 * math.log1p(-u)) * math.cos(2.0 * math.pi * v)
+
+
 def _sim_signal(perceived_p: float, world_temperature: float) -> Tuple[Tuple[float, ...], int]:
     """Token logprobs and verbal confidence of a sample whose question the
     model perceives as solvable with probability ``perceived_p``."""
@@ -266,24 +271,27 @@ class SimulatedBackend:
     success probability through the world's temperature. With probability rho
     all samples of a question reuse one shared correctness draw.
 
-    Every draw comes from the Philox stream at counter
+    Every value is read from the Philox stream at counter
     ``[question, lane, index, 0]`` under the 128-bit key
-    ``(world seed, run seed)``: what a fresh ``Philox`` at that counter would
-    draw. A stream's first block of four raw words sits at counter
+    ``(world seed, run seed)``, and each stream uses its first block of four
+    raw words only: the first four ``Generator.random()`` draws of a fresh
+    ``Philox`` at that counter. That block sits at counter
     ``[question + 1, lane, index, 0]``, so the streams of one lane and index
     are adjacent blocks in question order and :meth:`_blocks` reads a run of
-    them with one ``random_raw`` call. The question table (lane 0: the shared
-    mode, word 0 below rho, and the shared outcome, word 1 below p*) is drawn
-    for every question when the backend is built. A sample (lane 1) takes its
-    question's shared outcome in shared mode; otherwise it is correct when
-    word 0 of its block is below p*. An incorrect sample names distractor
-    ``int(word 1 * n_distractors)``. Each word reads as ``Generator.random()``
-    reads it. A noisy world adds ``normal(0, sigma)``, which the generator
-    draws from word 2 on. In about 0.7% of draws the ziggurat needs more than
-    the two words left, and it reads on into the next block: the first block
-    of stream ``(question + 1, lane, index)``, so that sample's noise is not
-    independent of that stream's draws. Changing this would change every
-    noisy transcript, so it stays.
+    them with one ``random_raw`` call. The blocks hold:
+
+    - lane 0, index 0, the question table, drawn for every question when the
+      backend is built: word 0 below rho puts the question in shared mode,
+      and word 1 below p* makes its shared outcome a success;
+    - lane 1, index s, sample s: in shared mode it takes its question's
+      shared outcome, and otherwise it is correct when word 0 is below p*.
+      An incorrect sample names distractor ``int(word 1 * n_distractors)``.
+      In a noisy world, words 2 and 3 give the noise on its signal;
+    - lane 2, index 0, the judge label: in a noisy world, words 0 and 1 give
+      the noise on the p* the judge perceives.
+
+    Noise is the Box–Muller normal of two words (:func:`_noise`), computed
+    with :mod:`math` so that transcripts do not depend on numpy's code.
 
     :meth:`prepare_wave` records a wave of requests; the first :meth:`generate`
     call after it draws the whole wave at once, and each call then hands out
@@ -306,21 +314,10 @@ class SimulatedBackend:
         self.judge_calls = 0
         key = ((world.config.rng_seed & _MASK64) << 64) | (run_seed & _MASK64)
         self._bits = np.random.Philox(key=key)
-        self._generator = np.random.Generator(self._bits)
-        # a fresh Philox's state at counter 0; _rng swaps in each stream's
-        # counter. buffer_pos 4 marks the buffer empty, so the first draw
-        # computes the stream's first block instead of reading a stale one.
-        self._stream_state = {
-            "bit_generator": "Philox",
-            "state": {
-                "counter": [0, 0, 0, 0],
-                "key": [int(word) for word in self._bits.state["state"]["key"]],
-            },
-            "buffer": [0, 0, 0, 0],
-            "buffer_pos": 4,
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
+        # a fresh Philox's state, at counter 0 with an empty buffer
+        # (buffer_pos 4); _blocks swaps in each span's counter, so a span's
+        # first draw computes its first block instead of reading a stale one
+        self._stream_state = self._bits.state
         cfg = world.config
         m = cfg.m_questions
         self._p_star = np.array([world.p_star[q.id] for q in world.questions])
@@ -338,24 +335,6 @@ class SimulatedBackend:
         self._wave: List[BackendRequest] = []
         self._drawn: Dict[Tuple[str, int, int], List[SampleOutput]] = {}
 
-    def _rng(
-        self, question_index: int, lane: int, index: int, block: Optional[np.ndarray] = None
-    ) -> np.random.Generator:
-        """The shared generator placed in stream ``(question_index, lane,
-        index)``, valid until the next call: at the stream's start, or, given
-        the stream's first ``block`` (a row of :meth:`_blocks`), past the
-        block's first two words, which are a sample's two uniforms."""
-        state = self._stream_state
-        if block is None:
-            state["state"]["counter"] = [question_index, lane, index, 0]
-            state["buffer_pos"] = 4
-        else:
-            state["state"]["counter"] = [question_index + 1, lane, index, 0]
-            state["buffer"] = block
-            state["buffer_pos"] = 2
-        self._bits.state = state
-        return self._generator
-
     def _blocks(self, lane: int, questions: np.ndarray, indices: np.ndarray) -> np.ndarray:
         """The first block of each stream ``(questions[i], lane, indices[i])``,
         as an ``(n, 4)`` array of raw Philox words.
@@ -372,9 +351,11 @@ class SimulatedBackend:
         q = questions[order]
         s = indices[order]
         cuts = (np.nonzero((s[1:] != s[:-1]) | (q[1:] - q[:-1] > _SPAN_GAP))[0] + 1).tolist()
+        state = self._stream_state
         for lo, hi in zip([0, *cuts], [*cuts, len(q)]):
             first = int(q[lo])
-            self._rng(first, lane, int(s[lo]))
+            state["state"]["counter"] = [first, lane, int(s[lo]), 0]
+            self._bits.state = state
             span = self._bits.random_raw(4 * (int(q[hi - 1]) - first + 1)).reshape(-1, 4)
             out[order[lo:hi]] = span[q[lo:hi] - first]
         return out
@@ -417,18 +398,19 @@ class SimulatedBackend:
         u = _uniform(blocks[:, :2])
         answers = (u[:, 1] * cfg.n_distractors).astype(np.int64)
         answers[u[:, 0] < self._threshold[questions]] = cfg.n_distractors
-        if cfg.signal_noise_sigma == 0:
+        sigma = cfg.signal_noise_sigma
+        if sigma == 0:
             # freed before the samples are built: a wave's peak memory is lower
             del blocks, u
             outputs = self._outputs
             keys = (questions * (cfg.n_distractors + 1) + answers).tolist()
             return [outputs[k] or self._shared_output(k) for k in keys]
-        samples = []
         p = self._p_star[questions].tolist()
-        for q, s, answer, block, p_q in zip(questions.tolist(), indices.tolist(), answers.tolist(), blocks, p):
-            eps = float(self._rng(q, _LANE_SAMPLE, s, block).normal(0.0, cfg.signal_noise_sigma))
-            samples.append(self._output(q, answer, _sim_signal(p_q + eps, cfg.world_temperature)))
-        return samples
+        noise_words = _uniform(blocks[:, 2:]).tolist()
+        return [
+            self._output(q, answer, _sim_signal(p_q + _noise(sigma, *uv), cfg.world_temperature))
+            for q, answer, p_q, uv in zip(questions.tolist(), answers.tolist(), p, noise_words)
+        ]
 
     def _draw_requests(
         self, requests: Sequence[BackendRequest]
@@ -449,9 +431,8 @@ class SimulatedBackend:
         return self._draw(np.array([self._index(qid)]), np.array([sample_index]))[0]
 
     def _judge_response(self, qid: str) -> str:
-        cfg = self.world.config
-        rng = self._rng(self._index(qid), _LANE_JUDGE, 0)
-        eps = float(rng.normal(0.0, cfg.signal_noise_sigma)) if cfg.signal_noise_sigma > 0 else 0.0
+        block = self._blocks(_LANE_JUDGE, np.array([self._index(qid)]), np.zeros(1, dtype=np.int64))
+        eps = _noise(self.world.config.signal_noise_sigma, *_uniform(block[0, :2]).tolist())
         perceived = min(max(self.world.p_star[qid] + eps, 0.0), 1.0)
         return "easy" if perceived > 0.5 else "hard"
 

@@ -19,7 +19,7 @@ from typing import Dict, List, Optional
 from .allocation import ExitKind, ExitMode, ThresholdExitConfig, apply_threshold_exits, verify_kkt
 from .backends import judge_classify_all
 from .config import build_experiment_config, env_overrides, load_config_file, merge_settings
-from .core import ValidationError, coverage_objective
+from .core import SignalKind, ValidationError, coverage_objective
 from .curves import min_budget_curve
 from .harness import (
     MetricReport,
@@ -40,7 +40,8 @@ def _add_shared_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--policy", choices=[p.value for p in Policy])
     parser.add_argument("--n", type=int, help="samples per question N")
     parser.add_argument("--temperature", type=float, help="allocator temperature T")
-    parser.add_argument("--signal", help="difficulty signal kind")
+    parser.add_argument("--signal", choices=[s.value for s in SignalKind if s is not SignalKind.EXTERNAL],
+                        help="difficulty signal kind")
     parser.add_argument("--exit", dest="exit_kind", choices=[k.value for k in ExitKind])
     parser.add_argument("--theta", type=float, help="threshold-exit theta")
     parser.add_argument("--exit-mode", choices=[m.value for m in ExitMode])

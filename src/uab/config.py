@@ -10,10 +10,19 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Callable, Dict, Mapping, Optional, Tuple, TypeVar
 
 from .allocation import ExitKind, ExitMode, ThresholdExitConfig
-from .backends import BetaLaw, FixedProbs, HttpBackendConfig, ProbLaw, TwoPointLaw, WorldConfig
+from .backends import (
+    DEFAULT_MAX_TOKENS,
+    DEFAULT_SAMPLING_TEMPERATURE,
+    BetaLaw,
+    FixedProbs,
+    HttpBackendConfig,
+    ProbLaw,
+    TwoPointLaw,
+    WorldConfig,
+)
 from .core import BudgetSpec, QuestionRecord, SignalKind, TaskKind, ValidationError
 from .harness import ExperimentConfig
 from .pipeline import PipelineConfig, Policy
@@ -29,8 +38,8 @@ DEFAULTS: Dict[str, str] = {
     "pipeline.policy": "uab",
     "pipeline.signal": "anll",
     "pipeline.k": "",
-    "pipeline.sampling_temperature": "0.9",
-    "pipeline.max_tokens": "1024",
+    "pipeline.sampling_temperature": str(DEFAULT_SAMPLING_TEMPERATURE),
+    "pipeline.max_tokens": str(DEFAULT_MAX_TOKENS),
     "exit.kind": "none",
     "exit.theta": "0.5",
     "exit.mode": "redistribute",
@@ -95,36 +104,40 @@ def merge_settings(
     return merged
 
 
-def _get_int(cfg: Mapping[str, str], key: str) -> int:
-    try:
-        return int(cfg[key])
-    except (KeyError, ValueError) as exc:
-        raise ValidationError(f"config key {key}: expected integer, got {cfg.get(key)!r}") from exc
+T = TypeVar("T")
+
+#: What a config value read as ``int`` or ``float`` must look like.
+_EXPECTED = {int: "integer", float: "number"}
 
 
-def _get_float(cfg: Mapping[str, str], key: str) -> float:
+def _get(cfg: Mapping[str, str], key: str, kind: Callable[[str], T]) -> T:
+    """``cfg[key]`` read as ``kind``: ``int``, ``float`` or an Enum of strings."""
     try:
-        return float(cfg[key])
+        return kind(cfg[key])
     except (KeyError, ValueError) as exc:
-        raise ValidationError(f"config key {key}: expected number, got {cfg.get(key)!r}") from exc
+        expected = _EXPECTED.get(kind) or "one of " + "|".join(member.value for member in kind)
+        raise ValidationError(f"config key {key}: expected {expected}, got {cfg.get(key)!r}") from exc
 
 
 def parse_prob_law(text: str) -> ProbLaw:
     kind, _, args = text.partition(":")
     kind = kind.strip().lower()
-    parts = [a for a in args.split(",") if a.strip()] if args else []
+    try:
+        parts = [float(a) for a in args.split(",") if a.strip()] if args else []
+    except ValueError as exc:
+        raise ValidationError(f"probability law {text!r}: parameters must be numbers") from exc
     if kind == "beta":
         if len(parts) != 2:
             raise ValidationError(f"beta law needs 'beta:a,b', got {text!r}")
-        return BetaLaw(float(parts[0]), float(parts[1]))
+        return BetaLaw(*parts)
     if kind == "two_point":
         if len(parts) != 3:
             raise ValidationError(f"two-point law needs 'two_point:lo,hi,frac', got {text!r}")
-        return TwoPointLaw(float(parts[0]), float(parts[1]), float(parts[2]))
+        return TwoPointLaw(*parts)
     if kind == "fixed":
         if not parts:
             raise ValidationError(f"fixed law needs 'fixed:p1,p2,...', got {text!r}")
-        return FixedProbs(tuple(float(p) for p in parts))
+        return FixedProbs(tuple(parts))
     raise ValidationError(f"unknown probability law {text!r}")
 
 
@@ -165,13 +178,13 @@ def load_questions_jsonl(path: Path) -> list[QuestionRecord]:
 
 def world_config_from_settings(cfg: Mapping[str, str]) -> WorldConfig:
     return WorldConfig(
-        m_questions=_get_int(cfg, "world.m_questions"),
+        m_questions=_get(cfg, "world.m_questions", int),
         prob_law=parse_prob_law(cfg["world.prob_law"]),
-        n_distractors=_get_int(cfg, "world.n_distractors"),
-        signal_noise_sigma=_get_float(cfg, "world.noise_sigma"),
-        correlation_rho=_get_float(cfg, "world.rho"),
-        world_temperature=_get_float(cfg, "world.temperature"),
-        rng_seed=_get_int(cfg, "world.seed"),
+        n_distractors=_get(cfg, "world.n_distractors", int),
+        signal_noise_sigma=_get(cfg, "world.noise_sigma", float),
+        correlation_rho=_get(cfg, "world.rho", float),
+        world_temperature=_get(cfg, "world.temperature", float),
+        rng_seed=_get(cfg, "world.seed", int),
     )
 
 
@@ -203,30 +216,32 @@ def build_experiment_config(cfg: Mapping[str, str], environ: Mapping[str, str]) 
     else:
         raise ValidationError(f"backend.kind must be sim or http, got {backend_kind!r}")
 
-    signal = SignalKind(cfg["pipeline.signal"])
-    k_raw = cfg.get("pipeline.k", "")
-    if k_raw:
-        k = int(k_raw)
-    else:
-        k = 2 if signal == SignalKind.VOTE_ENTROPY else 1
+    signal = _get(cfg, "pipeline.signal", SignalKind)
+    if signal == SignalKind.EXTERNAL:
+        raise ValidationError(
+            "pipeline.signal = external: only the library's run_two_phase(..., external_probs=...) takes them"
+        )
+    k = 2 if signal == SignalKind.VOTE_ENTROPY else 1
+    if cfg.get("pipeline.k", ""):
+        k = _get(cfg, "pipeline.k", int)
 
     budget = BudgetSpec(
-        n_per_question=_get_int(cfg, "budget.n"),
+        n_per_question=_get(cfg, "budget.n", int),
         m_questions=m_questions,
-        temperature=_get_float(cfg, "budget.temperature"),
+        temperature=_get(cfg, "budget.temperature", float),
     )
     pipeline = PipelineConfig(
         budget=budget,
         signal_kind=signal,
         threshold_exit=ThresholdExitConfig(
-            exit_kind=ExitKind(cfg["exit.kind"]),
-            theta=_get_float(cfg, "exit.theta"),
-            mode=ExitMode(cfg["exit.mode"]),
+            exit_kind=_get(cfg, "exit.kind", ExitKind),
+            theta=_get(cfg, "exit.theta", float),
+            mode=_get(cfg, "exit.mode", ExitMode),
         ),
-        policy=Policy(cfg["pipeline.policy"]),
+        policy=_get(cfg, "pipeline.policy", Policy),
         phase1_samples_k=k,
-        sampling_temperature=_get_float(cfg, "pipeline.sampling_temperature"),
-        max_tokens=_get_int(cfg, "pipeline.max_tokens"),
+        sampling_temperature=_get(cfg, "pipeline.sampling_temperature", float),
+        max_tokens=_get(cfg, "pipeline.max_tokens", int),
     )
     cache_dir = cfg.get("http.cache_dir", "")
     return ExperimentConfig(

@@ -25,6 +25,8 @@ from .backends import (
     BackendError,
     BackendRequest,
     BackendResponse,
+    DEFAULT_MAX_TOKENS,
+    DEFAULT_SAMPLING_TEMPERATURE,
     JudgeLabel,
     SampleOutput,
     VCS_INSTRUCTION,
@@ -67,8 +69,8 @@ class PipelineConfig:
     policy: Policy = Policy.UAB
     phase1_samples_k: int = 1
     rng_seed: int = 0
-    sampling_temperature: float = 0.9
-    max_tokens: int = 1024
+    sampling_temperature: float = DEFAULT_SAMPLING_TEMPERATURE
+    max_tokens: int = DEFAULT_MAX_TOKENS
 
     def __post_init__(self):
         if not 1 <= self.phase1_samples_k <= self.budget.n_per_question:

@@ -23,7 +23,7 @@ from uab.allocation import (
     uniform_allocation,
     verify_kkt,
 )
-from uab.backends import BetaLaw, FixedProbs, SimulatedBackend, SimulatedWorld, WorldConfig
+from uab.backends import BackendRequest, BetaLaw, FixedProbs, SimulatedBackend, SimulatedWorld, WorldConfig
 from uab.core import BudgetSpec, TaskKind, coverage_objective, marginal_gain
 from uab.curves import min_budget_curve
 from uab.harness import ExperimentConfig, run_experiment
@@ -199,10 +199,11 @@ def test_simulator_fidelity():
     ind_backend = SimulatedBackend(ind_world, run_seed=1)
     gold = ind_world.gold["q00000"]
     pairs = 50_000  # 100k samples
+    samples = ind_backend.generate(BackendRequest("q00000", "p", 2 * pairs)).samples
     table = np.zeros((2, 2))
     for t in range(pairs):
-        a = gold in ind_backend.sample_outcome("q00000", 2 * t).text
-        b = gold in ind_backend.sample_outcome("q00000", 2 * t + 1).text
+        a = gold in samples[2 * t].text
+        b = gold in samples[2 * t + 1].text
         table[int(a), int(b)] += 1
     expected = np.outer(table.sum(axis=1), table.sum(axis=0)) / table.sum()
     chi2 = float(((table - expected) ** 2 / expected).sum())

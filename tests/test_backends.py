@@ -91,7 +91,7 @@ class TestSimulatedBackend:
         backend = SimulatedBackend(world, run_seed=1)
         n = 20000
         gold = world.gold["q00000"]
-        hits = sum(gold in backend.sample_outcome("q00000", s).text for s in range(n))
+        hits = sum(gold in out.text for out in backend.generate(BackendRequest("q00000", "p", n)).samples)
         sigma = 3 * math.sqrt(0.25 / n)
         assert abs(hits / n - 0.5) < sigma
 
@@ -118,10 +118,11 @@ class TestSimulatedBackend:
         backend = SimulatedBackend(world, run_seed=4)
         gold = world.gold["q00000"]
         n_pairs = 50000
+        samples = backend.generate(BackendRequest("q00000", "p", 2 * n_pairs)).samples
         table = np.zeros((2, 2))
         for t in range(n_pairs):
-            a = gold in backend.sample_outcome("q00000", 2 * t).text
-            b = gold in backend.sample_outcome("q00000", 2 * t + 1).text
+            a = gold in samples[2 * t].text
+            b = gold in samples[2 * t + 1].text
             table[int(a), int(b)] += 1
         total = table.sum()
         row = table.sum(axis=1)
@@ -138,24 +139,6 @@ class TestSimulatedBackend:
         backward = [b2.sample_outcome("q00001", s).text for s in reversed(range(6))]
         assert forward == list(reversed(backward))
 
-    def test_streams_match_a_fresh_philox_at_their_counter(self):
-        # the shared generator, reset per stream, reads each stream from its
-        # start; draw counts vary so that a reset which kept the previous
-        # stream's buffer would hand out stale words
-        world = make_world(m=2, seed=2**63 + 5)
-        backend = SimulatedBackend(world, run_seed=2**64 - 3)
-        key = (world.config.rng_seed << 64) | backend.run_seed
-        rng = np.random.default_rng(17)
-        for _ in range(1000):
-            counter = [int(v) for v in rng.integers(0, 2**63, size=3)]
-            ours = backend._rng(*counter)
-            fresh = np.random.Generator(np.random.Philox(key=key, counter=counter + [0]))
-            for _ in range(int(rng.integers(1, 6))):
-                if rng.random() < 0.5:
-                    assert ours.random() == fresh.random()
-                else:
-                    assert ours.normal(0.0, 0.3) == fresh.normal(0.0, 0.3)
-
     def test_samples_follow_their_philox_definition_in_any_order(self):
         world = make_world(m=6, sigma=0.15, rho=0.5, seed=21)
         cfg = world.config
@@ -165,24 +148,33 @@ class TestSimulatedBackend:
         def stream(qid, lane, index):
             return np.random.Generator(np.random.Philox(key=key, counter=[world.index[qid], lane, index, 0]))
 
+        def noise(u, v):
+            return cfg.signal_noise_sigma * math.sqrt(-2.0 * math.log1p(-u)) * math.cos(2.0 * math.pi * v)
+
         def defined(qid, s):
             p = world.p_star[qid]
             mode = stream(qid, 0, 0)
             shared, shared_outcome = mode.random() < cfg.correlation_rho, mode.random() < p
-            draws = stream(qid, 1, s)
-            u_correct, u_distractor = draws.random(), draws.random()
-            perceived = p + draws.normal(0.0, cfg.signal_noise_sigma)
+            u_correct, u_distractor, u, v = stream(qid, 1, s).random(4).tolist()
+            perceived = p + noise(u, v)
             correct = shared_outcome if shared else u_correct < p
             answer = world.gold[qid] if correct else f"wrong_{int(u_distractor * cfg.n_distractors)}"
             confidence = min(10, max(1, int(round(10 * min(max(perceived, 0.0), 1.0)))))
             logprob = cfg.world_temperature * math.log(min(max(perceived, 1e-9), 1.0))
             return f"The final answer is \\boxed{{{answer}}}. Confidence: {confidence}", (logprob,) * 8
 
+        def defined_label(qid):
+            perceived = world.p_star[qid] + noise(*stream(qid, 2, 0).random(2).tolist())
+            return JudgeLabel.EASY if perceived > 0.5 else JudgeLabel.HARD
+
         pairs = [(q.id, s) for q in world.questions for s in range(6)]
         serial = SimulatedBackend(world, run_seed)
         expected = {pair: serial.sample_outcome(*pair) for pair in pairs}
         for pair, out in expected.items():
             assert (out.text, out.token_logprobs) == defined(*pair)
+        assert [judge_classify(q, serial) for q in world.questions] == [
+            defined_label(q.id) for q in world.questions
+        ]
 
         # requests interleaved across questions, lanes and judge calls
         random.Random(3).shuffle(pairs)
@@ -192,6 +184,36 @@ class TestSimulatedBackend:
                 judge_classify(world.questions[t % 6], interleaved)
             resp = interleaved.generate(BackendRequest(qid, "prompt", 1, first_sample_index=s))
             assert resp.samples == [expected[qid, s]]
+
+    def test_noise_has_sd_sigma_and_no_correlation_across_questions(self):
+        sigma, n = 0.1, 20000
+        world = make_world(m=2, sigma=sigma, probs=[0.5, 0.5])
+        backend = SimulatedBackend(world, run_seed=6)
+        # the noise each sample's signal carries, recovered from its logprobs
+        noise = np.array([
+            [
+                score_to_prob(anll(out.token_logprobs), world.config.world_temperature) - 0.5
+                for out in backend.generate(BackendRequest(q.id, "p", n)).samples
+            ]
+            for q in world.questions
+        ])
+        assert abs(noise.mean()) < 3 * sigma / math.sqrt(noise.size)
+        assert abs(noise.std(ddof=1) - sigma) < 3 * sigma / math.sqrt(2 * (noise.size - 1))
+        # the same sample index on adjacent questions
+        assert abs(np.corrcoef(noise[0], noise[1])[0, 1]) < 3 / math.sqrt(n)
+
+    def test_noisy_judge_labels_are_easy_at_rate_half_at_p_one_half(self):
+        n = 10000
+        world = make_world(m=n, sigma=0.1, probs=[0.5] * n)
+        labels = judge_classify_all(world.questions, SimulatedBackend(world, run_seed=6))
+        easy = sum(label == JudgeLabel.EASY for label in labels)
+        assert abs(easy / n - 0.5) < 3 * math.sqrt(0.25 / n)
+        # at p* = 1/2 a label is easy when its noise, cos(2 pi v) times a
+        # positive radius, is positive: v is word 1 of the lane-2 block
+        key = (world.config.rng_seed << 64) | 6
+        for q, label in enumerate(labels[:200]):
+            v = np.random.Generator(np.random.Philox(key=key, counter=[q, 2, 0, 0])).random(2)[1]
+            assert label == (JudgeLabel.EASY if math.cos(2 * math.pi * v) > 0 else JudgeLabel.HARD)
 
     def test_blocks_match_a_fresh_philox_at_each_counter(self):
         # scattered streams with repeats and gaps on both sides of the span gap

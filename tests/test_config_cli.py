@@ -64,6 +64,8 @@ class TestConfigParsing:
             parse_prob_law("gaussian:0,1")
         with pytest.raises(ValidationError):
             parse_prob_law("beta:2")
+        with pytest.raises(ValidationError, match="numbers"):
+            parse_prob_law("beta:x,2")
 
     def test_seed_list(self):
         assert parse_seed_list("0,1,2") == (0, 1, 2)
@@ -203,6 +205,25 @@ class TestCli:
         rows = [json.loads(line) for line in out.read_text().splitlines()]
         assert len(rows) == 6
         assert set(r["label"] for r in rows) <= {"easy", "hard"}
+
+    @pytest.mark.parametrize("env, argv", [
+        ({"UAB_EXIT_KIND": "bogus"}, []),
+        ({"UAB_PIPELINE_POLICY": "nope"}, []),
+        ({"UAB_PIPELINE_K": "two"}, []),
+        ({"UAB_WORLD_PROB_LAW": "beta:x,2"}, []),
+        ({"UAB_PIPELINE_SIGNAL": "external"}, []),
+        ({}, ["--signal", "bogus"]),
+    ])
+    def test_config_errors_exit_2_with_an_error_line(self, tmp_path, capsys, monkeypatch, env, argv):
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        try:
+            rc = self.run_cli("run", "--backend", "sim", "--out", str(tmp_path / "out"), *argv)
+        except SystemExit as exc:  # argparse exits by itself
+            rc = exc.code
+        assert rc == 2
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_cli_flag_overrides_env(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("UAB_BUDGET_N", "2")
