@@ -28,9 +28,10 @@ import logging
 import math
 import os
 import re
-import tempfile
 import threading
 import time
+import urllib.parse
+import weakref
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import Enum
@@ -92,10 +93,19 @@ class BetaLaw:
     a: float = 2.0
     b: float = 2.0
 
+    def __post_init__(self):
+        if not all(math.isfinite(v) and v > 0 for v in (self.a, self.b)):
+            raise ValidationError(f"beta law parameters must be finite and > 0, got a={self.a}, b={self.b}")
+
 
 @dataclass(frozen=True)
 class FixedProbs:
     probs: Tuple[float, ...]
+
+    def __post_init__(self):
+        # written so that NaN fails too
+        if not all(0.0 <= p <= 1.0 for p in self.probs):
+            raise ValidationError("fixed probabilities must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -172,10 +182,7 @@ class SimulatedWorld:
                 raise ValidationError(
                     f"fixed probability list has {len(law.probs)} entries for {m} questions"
                 )
-            arr = np.asarray(law.probs, dtype=float)
-            if np.any(arr < 0) or np.any(arr > 1):
-                raise ValidationError("fixed probabilities must lie in [0, 1]")
-            return arr
+            return np.asarray(law.probs, dtype=float)
         if isinstance(law, TwoPointLaw):
             for p in (law.p_lo, law.p_hi):
                 if not 0.0 <= p <= 1.0:
@@ -480,11 +487,39 @@ def _cached_sample(entry: object) -> SampleOutput:
     return SampleOutput(entry["text"], _usable_logprobs(tuple(map(float, logprobs))), finish)
 
 
-class ResponseCache:
-    """Content-addressed on-disk store of generated samples, one JSON entry
-    ``{"text", "token_logprobs", "finish_reason"}`` per sample.
+#: Length of a cache key: the hex digest of a SHA-256.
+_KEY_LEN = 64
+_KEY_RE = re.compile(r"[0-9a-f]{64}")
+#: What a cache segment's file name ends with.
+_SEGMENT_SUFFIX = ".log"
 
-    Safe for concurrent use by the threads of one process.
+#: Where a cache entry sits: a file, and the offset and length of the entry
+#: in it, or ``(path, 0, None)`` for a whole ``<key>.json`` file.
+_Location = Tuple[str, int, Optional[int]]
+
+
+class ResponseCache:
+    """Content-addressed on-disk store of generated samples: an append-only
+    log of segments in one directory, with an in-memory index of where each
+    key's entry sits (the Bitcask layout).
+
+    Each instance appends to a segment of its own, which it creates with
+    ``O_EXCL`` on its first :meth:`put`. A segment is named
+    ``<creation time in ns, 20 digits>-<pid>-<random hex>.log``, so names
+    sort by creation time. Each put appends one line
+    ``<64-hex key>\\t<entry>\\n`` with one ``os.write``, where the entry is the
+    JSON object ``{"text", "token_logprobs", "finish_reason"}``.
+
+    An instance reads the directory once, at first use, and indexes every
+    entry in it without holding any entry's text: first the ``<key>.json``
+    files, one per sample, that earlier versions wrote (nothing writes them
+    any more), then each segment's lines in name order, so later lines and
+    later segments win. A line without its newline, whose writer stopped
+    mid-write, is skipped. What others write to the directory after that is
+    not seen, so a key the index lacks is a miss without touching the disk.
+
+    Safe for concurrent use by the threads of one process, and by processes
+    that share a directory, as each writes its own segment.
     """
 
     def __init__(self, directory: Union[str, Path]):
@@ -492,10 +527,16 @@ class ResponseCache:
         self.directory.mkdir(parents=True, exist_ok=True)
         self.hits = 0
         self.misses = 0
-        self._counter_lock = threading.Lock()
+        #: Guards the index build, the segment and the counters.
+        self._lock = threading.Lock()
+        self._index: Optional[Dict[str, _Location]] = None
+        self._segment: Optional[str] = None
+        self._fd: Optional[int] = None
+        self._close_segment: Optional[weakref.finalize] = None
+        self._size = 0
 
     def _count(self, hit: bool) -> None:
-        with self._counter_lock:
+        with self._lock:
             if hit:
                 self.hits += 1
             else:
@@ -517,19 +558,57 @@ class ResponseCache:
         )
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
-    def _path(self, key: str) -> Path:
-        return self.directory / f"{key}.json"
+    def _entries(self) -> Dict[str, _Location]:
+        """The index, by key, built on first use."""
+        index = self._index
+        if index is None:
+            with self._lock:
+                if self._index is None:
+                    self._index = self._read_index()
+                index = self._index
+        return index
+
+    def _read_index(self) -> Dict[str, _Location]:
+        names = sorted(os.listdir(self.directory))
+        index: Dict[str, _Location] = {
+            name[:_KEY_LEN]: (str(self.directory / name), 0, None)
+            for name in names
+            if name.endswith(".json") and len(name) == _KEY_LEN + len(".json")
+        }
+        for segment in (str(self.directory / name) for name in names if name.endswith(_SEGMENT_SUFFIX)):
+            try:
+                with open(segment, "rb") as fh:
+                    offset = 0
+                    for line in fh:
+                        if line.endswith(b"\n") and len(line) > _KEY_LEN + 2 and line[_KEY_LEN] == ord("\t"):
+                            index[line[:_KEY_LEN].decode("latin-1")] = (
+                                segment, offset + _KEY_LEN + 1, len(line) - _KEY_LEN - 2
+                            )
+                        offset += len(line)
+            except OSError as exc:
+                logger.warning("cache segment %s unreadable (%s); skipping it", segment, exc)
+        return index
 
     def get(self, key: str) -> Optional[SampleOutput]:
         """The sample stored under ``key``, or None on a miss. An entry that is
         not JSON, or not a sample (:func:`_cached_sample`), is a miss too, and
         the next :meth:`put` of its key replaces it."""
-        path = self._path(key)
-        if not path.exists():
+        where = self._entries().get(key)
+        if where is None:
             self._count(hit=False)
             return None
+        path, offset, length = where
         try:
-            sample = _cached_sample(json.loads(path.read_text(encoding="utf-8")))
+            if length is None:
+                with open(path, "rb") as fh:
+                    data = fh.read()
+            else:
+                fd = os.open(path, os.O_RDONLY)
+                try:
+                    data = os.pread(fd, length, offset)
+                finally:
+                    os.close(fd)
+            sample = _cached_sample(json.loads(data))
         except (OSError, ValueError, OverflowError) as exc:
             logger.warning("cache entry %s unreadable (%s); treating as miss", key, exc)
             self._count(hit=False)
@@ -538,26 +617,46 @@ class ResponseCache:
         return sample
 
     def put(self, key: str, sample: SampleOutput) -> Path:
-        path = self._path(key)
-        if path.exists():
-            logger.info("cache entry %s overwritten (last write wins)", key)
+        """Append ``sample`` under ``key``; returns the segment it went to."""
+        if not _KEY_RE.fullmatch(key):
+            raise ValueError(f"cache key {key!r} is not 64 lowercase hex digits")
         entry = {
             "text": sample.text,
             "token_logprobs": list(sample.token_logprobs),
             "finish_reason": sample.finish_reason.value,
         }
-        text = json.dumps(entry, ensure_ascii=True)
-        # a temp file of its own per writer: concurrent puts of one key each
-        # replace the entry whole, and the last replace wins
-        fd, tmp = tempfile.mkstemp(dir=self.directory, prefix=f"{key}.", suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(text)
-            os.replace(tmp, path)
-        except OSError:
-            Path(tmp).unlink(missing_ok=True)
-            raise
-        return path
+        line = f"{key}\t{json.dumps(entry, ensure_ascii=True)}\n".encode("ascii")
+        index = self._entries()
+        with self._lock:
+            if key in index:
+                logger.info("cache entry %s overwritten (last write wins)", key)
+            if self._fd is None:
+                self._open_segment()
+            try:
+                written = os.write(self._fd, line)
+                if written != len(line):
+                    raise OSError(f"short write to cache segment {self._segment}")
+            except OSError:
+                # a torn line stays the last line of its segment: the next put
+                # starts a new one
+                self._close_segment()
+                self._fd = None
+                raise
+            index[key] = (self._segment, self._size + _KEY_LEN + 1, len(line) - _KEY_LEN - 2)
+            self._size += written
+            return Path(self._segment)
+
+    def _open_segment(self) -> None:
+        while True:
+            name = f"{time.time_ns():020d}-{os.getpid()}-{os.urandom(4).hex()}{_SEGMENT_SUFFIX}"
+            path = str(self.directory / name)
+            try:
+                fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL | os.O_APPEND, 0o644)
+            except FileExistsError:
+                continue
+            self._segment, self._fd, self._size = path, fd, 0
+            self._close_segment = weakref.finalize(self, os.close, fd)
+            return
 
 
 @dataclass
@@ -578,6 +677,13 @@ class HttpBackendConfig:
     max_in_flight: int = 8
 
     def __post_init__(self):
+        if self.max_retries < 0:
+            raise ValidationError("max_retries must be >= 0")
+        # written so that NaN fails too
+        if not self.backoff_seconds >= 0:
+            raise ValidationError("backoff_seconds must be >= 0")
+        if not self.timeout_seconds > 0:
+            raise ValidationError("timeout_seconds must be > 0")
         if self.max_in_flight < 1:
             raise ValidationError("max_in_flight must be >= 1")
 
@@ -603,37 +709,111 @@ def _retry_after_seconds(value: str) -> Optional[float]:
     return max((when - datetime.now(timezone.utc)).total_seconds(), 0.0)
 
 
+def _netrc_login(host: str) -> Optional[str]:
+    """``login:password`` from the netrc file that ``NETRC`` names, else
+    ``~/.netrc`` or ``~/_netrc``; None when the file is missing, unreadable or
+    unparsable, or has no entry for ``host``."""
+    import netrc
+
+    named = os.environ.get("NETRC")
+    for candidate in [named] if named is not None else ["~/.netrc", "~/_netrc"]:
+        path = os.path.expanduser(candidate)
+        if os.path.exists(path):
+            try:
+                found = netrc.netrc(path).authenticators(host)
+            except (netrc.NetrcParseError, OSError):
+                return None
+            if found and any(found):
+                return f"{found[0] or found[1] or ''}:{found[2] or ''}"
+            return None
+    return None
+
+
+def _url_login(parts: urllib.parse.SplitResult) -> Optional[str]:
+    """``user:password`` from a URL's userinfo, percent-decoded; None when
+    it has none."""
+    if parts.username is None:
+        return None
+    return f"{urllib.parse.unquote(parts.username)}:{urllib.parse.unquote(parts.password or '')}"
+
+
+def _connection_pool(url: str, size: int):
+    """A urllib3 pool manager of ``size`` connections for ``url``, going
+    through the proxy the environment names for it, if any, and trusting the
+    CA bundle that ``REQUESTS_CA_BUNDLE`` or ``CURL_CA_BUNDLE`` names, else
+    the system's trust store."""
+    import urllib.request
+
+    import urllib3
+
+    kwargs: Dict[str, object] = {"maxsize": size}
+    bundle = os.environ.get("REQUESTS_CA_BUNDLE") or os.environ.get("CURL_CA_BUNDLE")
+    if bundle:
+        kwargs["ca_cert_dir" if os.path.isdir(bundle) else "ca_certs"] = bundle
+    parts = urllib.parse.urlsplit(url)
+    host = parts.hostname or ""
+    proxies = urllib.request.getproxies()
+    proxy = proxies.get(parts.scheme) or proxies.get("all")
+    if not proxy or urllib.request.proxy_bypass(f"{host}:{parts.port}" if parts.port else host):
+        return urllib3.PoolManager(**kwargs)
+    if "://" not in proxy:
+        proxy = "http://" + proxy
+    login = _url_login(urllib.parse.urlsplit(proxy))
+    if login is not None:
+        kwargs["proxy_headers"] = urllib3.util.make_headers(proxy_basic_auth=login)
+    try:
+        return urllib3.ProxyManager(proxy, **kwargs)
+    except urllib3.exceptions.ProxySchemeUnknown as exc:
+        raise ValidationError(f"proxy {proxy!r}: only http and https proxies are supported") from exc
+
+
+def _request_headers(url: str, api_key: str) -> Dict[str, str]:
+    """The headers of every POST to ``url``. A netrc login for the host, or
+    else a login in the URL itself, is sent as basic auth in place of the
+    bearer ``api_key``."""
+    import urllib3
+
+    headers = {
+        "Accept-Encoding": urllib3.util.make_headers(accept_encoding=True)["accept-encoding"],
+        "Content-Type": "application/json",
+    }
+    if api_key:
+        headers["Authorization"] = f"Bearer {api_key}"
+    parts = urllib.parse.urlsplit(url)
+    login = (_netrc_login(parts.hostname) if parts.hostname else None) or _url_login(parts)
+    if login is not None:
+        headers["Authorization"] = urllib3.util.make_headers(basic_auth=login)["authorization"]
+    return headers
+
+
+def _reply_text(resp) -> str:
+    """The start of a reply's body, for an error message."""
+    return resp.data[:200].decode("utf-8", "replace")
+
+
 class HttpBackend:
     """Client for ``POST /v1/chat/completions`` with retries and replay cache.
 
     Safe for concurrent use; a bounded semaphore caps in-flight requests at
-    ``config.max_in_flight``, which is also the width of its waves.
+    ``config.max_in_flight``, which is also the size of its connection pool
+    and the width of its waves. Each POST goes straight to a urllib3 pool
+    manager (a proxy manager when a proxy applies), with urllib3's own
+    retries and redirects off: :meth:`_post_with_retries` does the retrying,
+    and a 3xx reply fails its request at once, as a 4xx other than 429 does.
 
-    Proxies, the CA bundle and netrc credentials are read from the environment
+    Proxies (``*_proxy``, ``no_proxy``, as :mod:`urllib.request` reads them),
+    the CA bundle (``REQUESTS_CA_BUNDLE``, then ``CURL_CA_BUNDLE``, else the
+    system's trust store) and netrc credentials are read from the environment
     once, when the backend is built; later changes to the environment do not
     reach it.
     """
 
     def __init__(self, config: HttpBackendConfig, cache: Optional[ResponseCache] = None):
-        import requests
-        from requests.adapters import HTTPAdapter
-
         self.config = config
         self.cache = cache
         self._url = config.base_url.rstrip("/") + "/v1/chat/completions"
-        self._session = requests.Session()
-        # the default pool keeps 10 connections per host; keep one per
-        # in-flight request so a wider wave reuses its connections too
-        adapter = HTTPAdapter(pool_maxsize=config.max_in_flight)
-        self._session.mount("http://", adapter)
-        self._session.mount("https://", adapter)
-        # what requests would look up in the environment on every POST, looked
-        # up once for the one URL this backend posts to
-        settings = self._session.merge_environment_settings(self._url, {}, None, None, None)
-        self._session.proxies = settings["proxies"]
-        self._session.verify = settings["verify"]
-        self._session.auth = requests.utils.get_netrc_auth(self._url)
-        self._session.trust_env = False
+        self._pool = _connection_pool(self._url, config.max_in_flight)
+        self._headers = _request_headers(self._url, config.api_key)
         self._semaphore = threading.BoundedSemaphore(config.max_in_flight)
 
     @property
@@ -658,31 +838,29 @@ class HttpBackend:
             sample_index,
         )
 
-    def _post_once(self, payload: dict):
-        headers = {"Content-Type": "application/json"}
-        if self.config.api_key:
-            headers["Authorization"] = f"Bearer {self.config.api_key}"
+    def _post_once(self, body: bytes):
         with self._semaphore:
-            return self._session.post(
-                self._url, json=payload, headers=headers, timeout=self.config.timeout_seconds
+            return self._pool.urlopen(
+                "POST", self._url, body=body, headers=self._headers,
+                retries=False, timeout=self.config.timeout_seconds,
             )
 
-    def _post_with_retries(self, payload: dict) -> dict:
-        import requests
+    def _post_with_retries(self, body: bytes) -> dict:
+        from urllib3.exceptions import HTTPError
 
         last_error = "no attempt made"
         for attempt in range(self.config.max_retries + 1):
             wait = self.config.backoff_seconds * (2**attempt)
             try:
-                resp = self._post_once(payload)
-            except requests.RequestException as exc:
+                resp = self._post_once(body)
+            except HTTPError as exc:
                 last_error = f"transport error: {exc}"
             else:
-                if resp.status_code == 200:
+                if resp.status == 200:
                     # a truncated or malformed reply is retried like a
                     # transport error
                     try:
-                        data = resp.json()
+                        data = json.loads(resp.data)
                     except ValueError as exc:
                         last_error = f"unparsable reply: {exc}"
                     else:
@@ -690,10 +868,10 @@ class HttpBackend:
                             if attempt:
                                 logger.info("request succeeded after %d retries", attempt)
                             return data
-                        last_error = f"reply is not a JSON object: {resp.text[:200]}"
+                        last_error = f"reply is not a JSON object: {_reply_text(resp)}"
                 else:
-                    last_error = f"HTTP {resp.status_code}: {resp.text[:200]}"
-                    if resp.status_code not in (429,) and resp.status_code < 500:
+                    last_error = f"HTTP {resp.status}: {_reply_text(resp)}"
+                    if resp.status not in (429,) and resp.status < 500:
                         raise BackendError(last_error)
                     retry_after = resp.headers.get("Retry-After")
                     if retry_after is not None:
@@ -755,7 +933,7 @@ class HttpBackend:
             }
             if request.want_logprobs:
                 payload["logprobs"] = True
-            data = self._post_with_retries(payload)
+            data = self._post_with_retries(json.dumps(payload, allow_nan=False).encode("utf-8"))
             choices = data.get("choices") or []
             if not isinstance(choices, list):
                 raise BackendError(f"reply choices are not a JSON array: {choices!r:.200}")

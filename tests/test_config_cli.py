@@ -211,6 +211,9 @@ class TestCli:
         ({"UAB_PIPELINE_POLICY": "nope"}, []),
         ({"UAB_PIPELINE_K": "two"}, []),
         ({"UAB_WORLD_PROB_LAW": "beta:x,2"}, []),
+        ({"UAB_WORLD_PROB_LAW": "beta:-1,2", "UAB_WORLD_M_QUESTIONS": "2"}, []),
+        ({"UAB_WORLD_PROB_LAW": "beta:nan,2", "UAB_WORLD_M_QUESTIONS": "2"}, []),
+        ({"UAB_WORLD_PROB_LAW": "fixed:0.5,nan", "UAB_WORLD_M_QUESTIONS": "2"}, []),
         ({"UAB_PIPELINE_SIGNAL": "external"}, []),
         ({}, ["--signal", "bogus"]),
     ])
