@@ -10,13 +10,11 @@ The backend protocol: a backend has a ``generate(request) -> BackendResponse``
 method that raises :class:`BackendError` when a request fails for good, and may
 declare ``max_in_flight``, the number of ``generate`` calls it serves at once.
 :func:`generate_wave` sends a batch of independent requests within that bound;
-a backend that declares no ``max_in_flight`` is called serially. A backend may
-also have a ``prepare_wave(requests)`` hook, which :func:`generate_wave` calls
-with the whole wave before it sends any of it, so that the backend can do the
-wave's work at once (the simulator draws a wave in one vectorised pass). The
-samples still come back through ``generate``, one request at a time: that is
-the one place where a caller sees, counts or times what a backend returns, and
-a backend without the hook behaves the same.
+a backend that declares no ``max_in_flight`` is called serially. Whatever a
+backend returns comes back through ``generate``, one request at a time: that
+is the one place where a caller sees, counts or times it. The simulator draws
+its values in chunks of adjacent questions, each once, on first use, so its
+``generate`` needs nothing but the request.
 """
 
 from __future__ import annotations
@@ -114,6 +112,13 @@ class TwoPointLaw:
     p_hi: float
     frac_lo: float
 
+    def __post_init__(self):
+        # written so that NaN fails too
+        if not all(0.0 <= p <= 1.0 for p in (self.p_lo, self.p_hi)):
+            raise ValidationError("two-point probabilities must lie in [0, 1]")
+        if not 0.0 <= self.frac_lo <= 1.0:
+            raise ValidationError("frac_lo must be in [0, 1]")
+
 
 ProbLaw = Union[BetaLaw, FixedProbs, TwoPointLaw]
 
@@ -184,11 +189,6 @@ class SimulatedWorld:
                 )
             return np.asarray(law.probs, dtype=float)
         if isinstance(law, TwoPointLaw):
-            for p in (law.p_lo, law.p_hi):
-                if not 0.0 <= p <= 1.0:
-                    raise ValidationError("two-point probabilities must lie in [0, 1]")
-            if not 0.0 <= law.frac_lo <= 1.0:
-                raise ValidationError("frac_lo must be in [0, 1]")
             lows = rng.random(m) < law.frac_lo
             return np.where(lows, law.p_lo, law.p_hi)
         raise ValidationError(f"unknown probability law {law!r}")
@@ -238,9 +238,9 @@ _LANE_JUDGE = 2
 
 _MASK64 = (1 << 64) - 1
 
-#: Widest gap, in questions, that one bulk Philox draw runs across
-#: (:meth:`SimulatedBackend._blocks`).
-_SPAN_GAP = 64
+#: Questions per memoised chunk of one lane and index
+#: (:meth:`SimulatedBackend._chunks`): the most blocks drawn per stream served.
+_CHUNK = 64
 
 _UNIFORM_SHIFT = np.uint64(11)
 
@@ -265,9 +265,10 @@ def _sim_signal(perceived_p: float, world_temperature: float) -> Tuple[Tuple[flo
     return (-anll_value,) * SIM_TOKEN_COUNT, confidence
 
 
-def _sample_key(request: BackendRequest) -> Tuple[str, int, int]:
-    """What a generation request's samples depend on in the simulated world."""
-    return request.question_id, request.first_sample_index, request.sample_count
+#: What :meth:`SimulatedBackend._chunks` derives for the questions of a chunk:
+#: each one's sample answer (lane 1 only, else None), and each one's two noise
+#: uniforms (in a noisy world only, else None).
+_Chunk = Tuple[Optional[List[int]], Optional[List[List[float]]]]
 
 
 class SimulatedBackend:
@@ -300,16 +301,20 @@ class SimulatedBackend:
     Noise is the Box–Muller normal of two words (:func:`_noise`), computed
     with :mod:`math` so that transcripts do not depend on numpy's code.
 
-    :meth:`prepare_wave` records a wave of requests; the first :meth:`generate`
-    call after it draws the whole wave at once, and each call then hands out
-    the samples of its own request. In a noiseless world a sample depends on
-    its question and answer only, so each such pair is one shared immutable
-    :class:`SampleOutput`.
+    Lanes 1 and 2 are read in chunks of ``_CHUNK`` adjacent questions: the
+    first request that needs a stream of a chunk reads the blocks of all of
+    them and derives their values in one numpy pass (:meth:`_chunks`), and
+    later requests look them up. So a request's samples depend on the request
+    only, whatever order requests come in, and a wave that asks every
+    question for one index, such as Phase 1, costs one draw per chunk. In a
+    noiseless world a sample depends on its question and answer only, so
+    each such pair is one shared immutable :class:`SampleOutput`.
     """
 
-    #: The one bit generator is shared by every call, so calls must not
-    #: overlap; and being CPU-bound and in-process, concurrent calls would
-    #: only contend for the interpreter lock anyway. Waves run serially.
+    #: The one bit generator and the chunk memo are shared by every call, so
+    #: calls must not overlap; and being CPU-bound and in-process, concurrent
+    #: calls would only contend for the interpreter lock anyway. Waves run
+    #: serially.
     max_in_flight = 1
 
     def __init__(self, world: SimulatedWorld, run_seed: int = 0):
@@ -322,13 +327,13 @@ class SimulatedBackend:
         key = ((world.config.rng_seed & _MASK64) << 64) | (run_seed & _MASK64)
         self._bits = np.random.Philox(key=key)
         # a fresh Philox's state, at counter 0 with an empty buffer
-        # (buffer_pos 4); _blocks swaps in each span's counter, so a span's
+        # (buffer_pos 4); _blocks swaps in each run's counter, so a run's
         # first draw computes its first block instead of reading a stale one
         self._stream_state = self._bits.state
         cfg = world.config
         m = cfg.m_questions
         self._p_star = np.array([world.p_star[q.id] for q in world.questions])
-        table = _uniform(self._blocks(_LANE_QUESTION, np.arange(m), np.zeros(m, dtype=np.int64)))
+        table = _uniform(self._blocks(_LANE_QUESTION, 0, 0, m))
         # A sample is correct when word 0 of its block is below its question's
         # threshold: p*, or, for a question in shared mode, 1.0 when the shared
         # outcome is a success and 0.0 when not, as every word reads as [0, 1).
@@ -339,33 +344,45 @@ class SimulatedBackend:
         #: and noiseless signals by question, each built on first use.
         self._outputs: List[Optional[SampleOutput]] = [None] * (m * (cfg.n_distractors + 1))
         self._signals: List[Optional[Tuple[Tuple[float, ...], int]]] = [None] * m
-        self._wave: List[BackendRequest] = []
-        self._drawn: Dict[Tuple[str, int, int], List[SampleOutput]] = {}
+        #: :meth:`_chunks`'s values, by ``(lane, index, chunk)``.
+        self._memo: Dict[Tuple[int, int, int], _Chunk] = {}
 
-    def _blocks(self, lane: int, questions: np.ndarray, indices: np.ndarray) -> np.ndarray:
-        """The first block of each stream ``(questions[i], lane, indices[i])``,
-        as an ``(n, 4)`` array of raw Philox words.
-
-        Streams that share an index are read in spans of adjacent blocks, one
-        ``random_raw`` call per span. A span runs on across gaps of up to
-        ``_SPAN_GAP`` questions, and each question it skips costs one unused
-        block, so a span reads fewer than ``_SPAN_GAP`` blocks per stream it
-        serves. A wave in which every question draws the same index, such as
-        Phase 1, is one span with no unused block.
-        """
-        out = np.empty((len(questions), 4), dtype=np.uint64)
-        order = np.lexsort((questions, indices))
-        q = questions[order]
-        s = indices[order]
-        cuts = (np.nonzero((s[1:] != s[:-1]) | (q[1:] - q[:-1] > _SPAN_GAP))[0] + 1).tolist()
+    def _blocks(self, lane: int, index: int, first: int, count: int) -> np.ndarray:
+        """The first blocks of the streams ``(q, lane, index)`` for the
+        ``count`` questions q from ``first`` on, as a ``(count, 4)`` array of
+        raw Philox words read with one ``random_raw`` call."""
         state = self._stream_state
-        for lo, hi in zip([0, *cuts], [*cuts, len(q)]):
-            first = int(q[lo])
-            state["state"]["counter"] = [first, lane, int(s[lo]), 0]
-            self._bits.state = state
-            span = self._bits.random_raw(4 * (int(q[hi - 1]) - first + 1)).reshape(-1, 4)
-            out[order[lo:hi]] = span[q[lo:hi] - first]
-        return out
+        state["state"]["counter"] = [first, lane, index, 0]
+        self._bits.state = state
+        return self._bits.random_raw(4 * count).reshape(-1, 4)
+
+    def _chunks(self, lane: int, indices: Sequence[int], chunk: int) -> List[_Chunk]:
+        """The values that streams ``(q, lane, index)`` give the questions q
+        of ``chunk`` (questions ``chunk * _CHUNK`` on), for each index in
+        ``indices``. Chunks not yet in the memo are read and derived together,
+        ``_CHUNK`` indices per numpy pass, which bounds a pass's memory when
+        one request asks a question for many samples."""
+        memo = self._memo
+        try:
+            return [memo[lane, index, chunk] for index in indices]
+        except KeyError:
+            pass
+        missing = [index for index in indices if (lane, index, chunk) not in memo]
+        cfg = self.world.config
+        first = chunk * _CHUNK
+        count = min(_CHUNK, cfg.m_questions - first)
+        for lo in range(0, len(missing), _CHUNK):
+            part = missing[lo:lo + _CHUNK]
+            u = _uniform(np.stack([self._blocks(lane, index, first, count) for index in part]))
+            answers = noise = [None] * len(part)
+            if lane == _LANE_SAMPLE:
+                n = cfg.n_distractors
+                correct = u[..., 0] < self._threshold[first:first + count]
+                answers = np.where(correct, n, (u[..., 1] * n).astype(np.int64)).tolist()
+            if cfg.signal_noise_sigma:
+                noise = (u[..., 2:] if lane == _LANE_SAMPLE else u[..., :2]).tolist()
+            memo.update(((lane, index, chunk), entry) for index, entry in zip(part, zip(answers, noise)))
+        return [memo[lane, index, chunk] for index in indices]
 
     def _index(self, qid: str) -> int:
         index = self.world.index.get(qid)
@@ -397,72 +414,47 @@ class SimulatedBackend:
         output = self._outputs[key] = self._output(question, answer, signal)
         return output
 
-    def _draw(self, questions: np.ndarray, indices: np.ndarray) -> List[SampleOutput]:
-        """The samples ``(questions[i], indices[i])``, drawn together. The one
-        draw routine of :meth:`generate`, its waves and :meth:`sample_outcome`."""
+    def _samples(self, question: int, first: int, count: int) -> List[SampleOutput]:
+        """Samples ``first`` to ``first + count - 1`` of ``question``: the one
+        draw path of :meth:`generate` and :meth:`sample_outcome`."""
         cfg = self.world.config
-        blocks = self._blocks(_LANE_SAMPLE, questions, indices)
-        u = _uniform(blocks[:, :2])
-        answers = (u[:, 1] * cfg.n_distractors).astype(np.int64)
-        answers[u[:, 0] < self._threshold[questions]] = cfg.n_distractors
+        chunk, offset = divmod(question, _CHUNK)
+        drawn = self._chunks(_LANE_SAMPLE, range(first, first + count), chunk)
         sigma = cfg.signal_noise_sigma
         if sigma == 0:
-            # freed before the samples are built: a wave's peak memory is lower
-            del blocks, u
+            base = question * (cfg.n_distractors + 1)
             outputs = self._outputs
-            keys = (questions * (cfg.n_distractors + 1) + answers).tolist()
-            return [outputs[k] or self._shared_output(k) for k in keys]
-        p = self._p_star[questions].tolist()
-        noise_words = _uniform(blocks[:, 2:]).tolist()
+            return [
+                outputs[base + answers[offset]] or self._shared_output(base + answers[offset])
+                for answers, _ in drawn
+            ]
+        p = float(self._p_star[question])
         return [
-            self._output(q, answer, _sim_signal(p_q + _noise(sigma, *uv), cfg.world_temperature))
-            for q, answer, p_q, uv in zip(questions.tolist(), answers.tolist(), p, noise_words)
+            self._output(
+                question, answers[offset], _sim_signal(p + _noise(sigma, *noise[offset]), cfg.world_temperature)
+            )
+            for answers, noise in drawn
         ]
 
-    def _draw_requests(
-        self, requests: Sequence[BackendRequest]
-    ) -> Dict[Tuple[str, int, int], List[SampleOutput]]:
-        """The samples of each request, by :func:`_sample_key`, drawn together."""
-        counts = np.array([r.sample_count for r in requests], dtype=np.int64)
-        ends = np.cumsum(counts)
-        questions = np.repeat(np.array([self._index(r.question_id) for r in requests], dtype=np.int64), counts)
-        firsts = np.repeat(np.array([r.first_sample_index for r in requests], dtype=np.int64), counts)
-        indices = firsts + np.arange(ends[-1]) - np.repeat(ends - counts, counts)
-        samples = self._draw(questions, indices)
-        return {
-            _sample_key(r): samples[end - n:end]
-            for r, n, end in zip(requests, counts.tolist(), ends.tolist())
-        }
-
     def sample_outcome(self, qid: str, sample_index: int) -> SampleOutput:
-        return self._draw(np.array([self._index(qid)]), np.array([sample_index]))[0]
+        return self._samples(self._index(qid), sample_index, 1)[0]
 
     def _judge_response(self, qid: str) -> str:
-        block = self._blocks(_LANE_JUDGE, np.array([self._index(qid)]), np.zeros(1, dtype=np.int64))
-        eps = _noise(self.world.config.signal_noise_sigma, *_uniform(block[0, :2]).tolist())
-        perceived = min(max(self.world.p_star[qid] + eps, 0.0), 1.0)
-        return "easy" if perceived > 0.5 else "hard"
-
-    def prepare_wave(self, requests: Sequence[BackendRequest]) -> None:
-        """Record the generation requests of a wave; the next :meth:`generate`
-        call draws them all. Judge requests, and requests for questions the
-        world does not have, are left to their own :meth:`generate` call."""
-        self._wave = [r for r in requests if not r.judge and r.question_id in self.world.index]
-        self._drawn = {}
+        question = self._index(qid)
+        perceived = self.world.p_star[qid]
+        sigma = self.world.config.signal_noise_sigma
+        if sigma:
+            chunk, offset = divmod(question, _CHUNK)
+            [(_, noise)] = self._chunks(_LANE_JUDGE, [0], chunk)
+            perceived += _noise(sigma, *noise[offset])
+        return "easy" if min(max(perceived, 0.0), 1.0) > 0.5 else "hard"
 
     def generate(self, request: BackendRequest) -> BackendResponse:
         if request.judge:
             label = self._judge_response(request.question_id)
             self.judge_calls += 1
             return BackendResponse(samples=[SampleOutput(label, (), FinishReason.STOP)] * request.sample_count)
-        if self._wave:
-            # drawn here rather than in prepare_wave, so that whoever times or
-            # wraps generate sees the wave's draw inside a generate call
-            self._drawn = self._draw_requests(self._wave)
-            self._wave = []
-        samples = self._drawn.pop(_sample_key(request), None)
-        if samples is None:
-            [samples] = self._draw_requests([request]).values()
+        samples = self._samples(self._index(request.question_id), request.first_sample_index, request.sample_count)
         self.generation_samples += request.sample_count
         return BackendResponse(samples=samples)
 
@@ -973,24 +965,19 @@ def generate_wave(
 
     A request that fails with :class:`BackendError` yields the error in place
     of its response, so a failure touches its own request only; any other
-    exception propagates. The whole wave is handed to the backend's
-    ``prepare_wave`` hook, if it has one, before any request is sent. When
-    ``backend.max_in_flight`` is 1 or undeclared, each request is then sent
-    and yielded before the next one is sent. Otherwise the wave is sent on a
-    thread pool of that width that lives for this call. The yielded sequence
-    is the same either way.
+    exception propagates. When ``backend.max_in_flight`` is 1 or undeclared,
+    each request is sent and yielded before the next one is taken from
+    ``requests``. Otherwise the wave is sent on a thread pool of that width
+    that lives for this call. The yielded sequence is the same either way.
     """
-    batch = list(requests)
-    prepare_wave = getattr(backend, "prepare_wave", None)
-    if prepare_wave is not None:
-        prepare_wave(batch)
     width = getattr(backend, "max_in_flight", 1)
     if width <= 1:
-        for request in batch:
+        for request in requests:
             yield request, _generate_or_error(backend, request)
         return
     from concurrent.futures import ThreadPoolExecutor
 
+    batch = list(requests)
     if not batch:
         return
     with ThreadPoolExecutor(max_workers=min(width, len(batch)), thread_name_prefix="uab-wave") as pool:

@@ -36,6 +36,7 @@ from .backends import (
     SimulatedBackend,
     SimulatedWorld,
     WorldConfig,
+    generate_wave,
 )
 from .core import (
     AllocationVector,
@@ -405,10 +406,10 @@ def _check_simulator_inversion(rng: np.random.Generator) -> CheckResult:
 
 
 def _check_simulator_waves(rng: np.random.Generator) -> CheckResult:
-    """Samples drawn as one wave equal the same requests drawn one at a time,
-    in a noiseless and a noisy world: the wave is prepared in one shuffled
-    order and generated in another, with judge calls mixed in. ``worst``
-    counts the requests that got other samples (or another label)."""
+    """A wave's samples equal the same requests sent one at a time, in a
+    noiseless and a noisy world: the wave goes through :func:`generate_wave`
+    in a shuffled order, with judge calls mixed in. ``worst`` counts the
+    requests that got other samples (or another label)."""
     count = 0
     differ = 0
     for sigma in (0.0, 0.15):
@@ -423,13 +424,11 @@ def _check_simulator_waves(rng: np.random.Generator) -> CheckResult:
             if rng.random() < 0.5
         ] + [BackendRequest(q.id, q.prompt, 1, judge=True) for q in world.questions[::10]]
         one_at_a_time = SimulatedBackend(world, run_seed=3)
-        expected = [one_at_a_time.generate(r).samples for r in calls]
-        wave = SimulatedBackend(world, run_seed=3)
-        wave.prepare_wave([calls[i] for i in rng.permutation(len(calls))])
-        for i in rng.permutation(len(calls)).tolist():
-            samples = wave.generate(calls[i]).samples
-            differ += samples != expected[i]
-            count += len(samples)
+        expected = {r: one_at_a_time.generate(r).samples for r in calls}
+        shuffled = [calls[i] for i in rng.permutation(len(calls))]
+        for request, outcome in generate_wave(SimulatedBackend(world, run_seed=3), shuffled):
+            differ += outcome.samples != expected[request]
+            count += request.sample_count
     return CheckResult("simulator_waves", differ == 0, count, float(differ))
 
 

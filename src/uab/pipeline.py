@@ -11,6 +11,7 @@ wave (:func:`~uab.backends.generate_wave`).
 from __future__ import annotations
 
 import logging
+import math
 import re
 from collections import Counter
 from dataclasses import dataclass, field
@@ -85,6 +86,11 @@ class PipelineConfig:
         if self.phase1_samples_k > 1 and self.policy != Policy.UAB:
             # baseline allocation rules assume a single first-round sample
             raise ValidationError(f"policy {self.policy.value} requires K = 1")
+        # written so that NaN fails too; an HTTP request body cannot encode it
+        if not 0.0 <= self.sampling_temperature < math.inf:
+            raise ValidationError(f"sampling_temperature must be finite and >= 0, got {self.sampling_temperature}")
+        if self.max_tokens < 1:
+            raise ValidationError(f"max_tokens must be >= 1, got {self.max_tokens}")
 
     @property
     def phase2_budget(self) -> int:

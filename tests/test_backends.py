@@ -76,6 +76,13 @@ class TestSimulatedWorld:
         assert values <= {0.1, 0.8}
         assert len(values) == 2
 
+    @pytest.mark.parametrize("law", [
+        (2.0, 0.5, 0.5), (0.1, -1.0, 0.5), (0.1, 0.8, 5.0), (float("nan"), 0.8, 0.5), (0.1, 0.8, float("nan")),
+    ])
+    def test_two_point_law_rejects_values_outside_unit_interval(self, law):
+        with pytest.raises(ValidationError):
+            TwoPointLaw(*law)
+
     def test_question_invariants(self):
         world = make_world(m=10)
         ids = [q.id for q in world.questions]
@@ -223,39 +230,60 @@ class TestSimulatedBackend:
             assert label == (JudgeLabel.EASY if math.cos(2 * math.pi * v) > 0 else JudgeLabel.HARD)
 
     def test_blocks_match_a_fresh_philox_at_each_counter(self):
-        # scattered streams with repeats and gaps on both sides of the span gap
+        # runs of adjacent streams, from any first question, at any index
         world = make_world(m=2, seed=2**63 + 5)
         backend = SimulatedBackend(world, run_seed=7)
         key = (world.config.rng_seed << 64) | backend.run_seed
         rng = np.random.default_rng(4)
-        for size in (1, 2, 5, 300):
-            questions = rng.integers(0, 5000, size=size)
-            questions[: size // 3] = rng.integers(0, 40, size=size // 3)
-            indices = rng.integers(0, 3, size=size)
+        for first, count in [(0, 1), (0, 64), (63, 2), (5000, 5), (2**40, 3)]:
+            index = int(rng.integers(0, 2**32))
             for lane in (0, 1, 2):
-                blocks = backend._blocks(lane, questions, indices)
-                for q, s, block in zip(questions.tolist(), indices.tolist(), blocks):
-                    fresh = np.random.Philox(key=key, counter=[q, lane, s, 0])
-                    assert block.tolist() == fresh.random_raw(4).tolist()
+                blocks = backend._blocks(lane, index, first, count)
+                assert blocks.shape == (count, 4)
+                for q, block in enumerate(blocks.tolist(), start=first):
+                    assert block == np.random.Philox(key=key, counter=[q, lane, index, 0]).random_raw(4).tolist()
 
-    def test_spans_cross_gaps_of_up_to_64_questions(self):
-        class CountingBits:
-            def __init__(self, bits):
-                self.bits = bits
-                self.words = 0
+    class CountingBits:
+        """A bit generator that records the ``(lane, index, chunk)`` and the
+        number of words of each ``random_raw`` call."""
 
-            state = property(lambda self: self.bits.state, lambda self, value: setattr(self.bits, "state", value))
+        def __init__(self, bits):
+            self.bits = bits
+            self.reads = []
 
-            def random_raw(self, size):
-                self.words += size
-                return self.bits.random_raw(size)
+        state = property(lambda self: self.bits.state, lambda self, value: setattr(self.bits, "state", value))
 
-        backend = SimulatedBackend(make_world(m=2), run_seed=0)
-        backend._bits = CountingBits(backend._bits)
-        # spans [0, 5] and [1000, 1064] at index 0, and [5] alone at index 1
-        questions = np.array([1064, 0, 5, 1000, 5])
-        backend._blocks(1, questions, np.array([0, 0, 0, 0, 1]))
-        assert backend._bits.words == 4 * (6 + 65 + 1)
+        def random_raw(self, size):
+            first, lane, index, _ = self.bits.state["state"]["counter"].tolist()
+            self.reads.append(((lane, index, first // 64), size))
+            return self.bits.random_raw(size)
+
+    @pytest.mark.parametrize("sigma, policy", [(0.0, Policy.UAB), (0.15, Policy.LLM_JUDGE)])
+    def test_run_reads_each_chunk_it_needs_once(self, sigma, policy):
+        m = 150
+        world = make_world(m=m, sigma=sigma, rho=0.3, seed=9)
+        backend = SimulatedBackend(world, run_seed=2)
+        backend._bits = bits = self.CountingBits(backend._bits)
+        results = run_two_phase(world.questions, backend, PipelineConfig(budget=BudgetSpec(4, m), policy=policy))
+        chunks = [chunk for chunk, _ in bits.reads]
+        assert len(chunks) == len(set(chunks))
+        needed = {(1, s, world.index[r.question_id] // 64) for r in results for s in range(r.samples_used)}
+        if policy == Policy.LLM_JUDGE:
+            needed |= {(2, 0, chunk) for chunk in range(3)}
+        assert set(chunks) == needed
+        # the last chunk holds questions 128-149 only
+        assert all(size == 4 * min(64, m - 64 * chunk) for (_, _, chunk), size in bits.reads)
+
+    @pytest.mark.parametrize("n", [1, 5, 150])
+    def test_one_request_reads_one_chunk_per_sample(self, n):
+        world = make_world(m=640, sigma=0.15)
+        backend = SimulatedBackend(world, run_seed=0)
+        backend._bits = bits = self.CountingBits(backend._bits)
+        samples = backend.generate(BackendRequest("q00300", "p", n, first_sample_index=2)).samples
+        assert sum(size for _, size in bits.reads) <= 4 * 64 * n
+        # more than 64 samples are derived in several numpy passes
+        alone = SimulatedBackend(world, run_seed=0)
+        assert samples == [alone.sample_outcome("q00300", s) for s in range(2, n + 2)]
 
     @pytest.mark.parametrize("sigma, rho", [(0.0, 0.0), (0.0, 0.5), (0.15, 0.3)])
     def test_wave_equals_requests_one_at_a_time(self, sigma, rho):
@@ -268,19 +296,22 @@ class TestSimulatedBackend:
             for q in world.questions
             if rng.random() < 0.3
         ]
+        judge = [BackendRequest(q.id, "p", 1, judge=True) for q in world.questions[::9]]
         for requests in (phase1, phase2):
             alone = SimulatedBackend(world, run_seed=1)
-            expected = {r: alone.generate(r).samples for r in requests}
-            waved = SimulatedBackend(world, run_seed=1)
+            expected = {r: alone.generate(r).samples for r in requests + judge}
             shuffled = requests[:]
             rng.shuffle(shuffled)
-            waved.prepare_wave(shuffled)
-            rng.shuffle(shuffled)
-            for t, r in enumerate(shuffled):
-                if t % 9 == 0:
-                    judge_classify(world.questions[t], waved)
-                assert waved.generate(r).samples == expected[r]
+            # judge calls interleaved with the wave
+            for t, r in enumerate(judge):
+                shuffled.insert(9 * t, r)
+            waved = SimulatedBackend(world, run_seed=1)
+            outcomes = list(generate_wave(waved, shuffled))
+            assert [r for r, _ in outcomes] == shuffled
+            for r, response in outcomes:
+                assert response.samples == expected[r]
             assert waved.generation_samples == alone.generation_samples
+            assert waved.judge_calls == alone.judge_calls
 
     def test_noiseless_samples_of_one_answer_are_one_object(self):
         world = make_world(m=1, probs=[0.5])
@@ -298,23 +329,15 @@ class TestSimulatedBackend:
             next(outcomes)
 
     @pytest.mark.parametrize("width", [1, 3])
-    def test_generate_wave_prepares_the_whole_wave_first(self, width):
-        calls = []
-
+    def test_generate_wave_yields_in_request_order(self, width):
         class Recording:
             max_in_flight = width
 
-            def prepare_wave(self, requests):
-                calls.append(("prepare", [r.question_id for r in requests]))
-
             def generate(self, request):
-                calls.append(("generate", request.question_id))
                 return BackendResponse([])
 
         requests = (BackendRequest(f"q{i}", "p", 1) for i in range(5))
         assert [r.question_id for r, _ in generate_wave(Recording(), requests)] == [f"q{i}" for i in range(5)]
-        assert calls[0] == ("prepare", [f"q{i}" for i in range(5)])
-        assert sorted(calls[1:]) == [("generate", f"q{i}") for i in range(5)]
 
     def test_different_run_seeds_differ(self):
         world = make_world(m=1, probs=[0.5])

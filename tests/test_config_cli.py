@@ -216,6 +216,8 @@ class TestCli:
         ({"UAB_WORLD_PROB_LAW": "fixed:0.5,nan", "UAB_WORLD_M_QUESTIONS": "2"}, []),
         ({"UAB_PIPELINE_SIGNAL": "external"}, []),
         ({}, ["--signal", "bogus"]),
+        ({"UAB_PIPELINE_SAMPLING_TEMPERATURE": "nan"}, []),
+        ({"UAB_PIPELINE_MAX_TOKENS": "0"}, []),
     ])
     def test_config_errors_exit_2_with_an_error_line(self, tmp_path, capsys, monkeypatch, env, argv):
         for name, value in env.items():

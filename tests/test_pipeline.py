@@ -383,6 +383,18 @@ class TestRunTwoPhase:
                 signal_kind=SignalKind.VOTE_ENTROPY, phase1_samples_k=2,
             )
 
+    @pytest.mark.parametrize("field, value", [
+        ("sampling_temperature", float("nan")),
+        ("sampling_temperature", float("inf")),
+        ("sampling_temperature", -0.1),
+        ("max_tokens", 0),
+    ])
+    def test_config_rejects_sampling_values_no_request_can_carry(self, field, value):
+        with pytest.raises(ValidationError, match=field):
+            PipelineConfig(budget=BudgetSpec(2, 3), **{field: value})
+        # greedy decoding and a one-token cap are fine
+        PipelineConfig(budget=BudgetSpec(2, 3), sampling_temperature=0.0, max_tokens=1)
+
     def test_question_count_must_match_budget(self):
         world, backend, budget = sim_setup([0.5, 0.5], n_per_question=2)
         bad = PipelineConfig(budget=BudgetSpec(2, 3), policy=Policy.UNIFORM)
