@@ -486,8 +486,8 @@ _KEY_RE = re.compile(r"[0-9a-f]{64}")
 _SEGMENT_SUFFIX = ".log"
 
 #: Where a cache entry sits: a file, and the offset and length of the entry
-#: in it, or ``(path, 0, None)`` for a whole ``<key>.json`` file.
-_Location = Tuple[str, int, Optional[int]]
+#: in it; ``(path, 0, size)`` for a whole ``<key>.json`` file.
+_Location = Tuple[str, int, int]
 
 
 class ResponseCache:
@@ -503,12 +503,15 @@ class ResponseCache:
     JSON object ``{"text", "token_logprobs", "finish_reason"}``.
 
     An instance reads the directory once, at first use, and indexes every
-    entry in it without holding any entry's text: first the ``<key>.json``
-    files, one per sample, that earlier versions wrote (nothing writes them
-    any more), then each segment's lines in name order, so later lines and
-    later segments win. A line without its newline, whose writer stopped
-    mid-write, is skipped. What others write to the directory after that is
-    not seen, so a key the index lacks is a miss without touching the disk.
+    entry in it as a file, an offset and a length, without holding any
+    entry's text: first the ``<key>.json`` files, one per sample, that earlier
+    versions wrote (nothing writes them any more), each as its whole file,
+    sized in that same directory read; then each segment's lines in name
+    order, so later lines and later segments win. A line without its newline,
+    whose writer stopped mid-write, is skipped. What others write to the
+    directory after that is not seen, so a key the index lacks is a miss
+    without touching the disk, and :meth:`get` reads any entry with one
+    ``os.pread``.
 
     Safe for concurrent use by the threads of one process, and by processes
     that share a directory, as each writes its own segment.
@@ -561,13 +564,16 @@ class ResponseCache:
         return index
 
     def _read_index(self) -> Dict[str, _Location]:
-        names = sorted(os.listdir(self.directory))
-        index: Dict[str, _Location] = {
-            name[:_KEY_LEN]: (str(self.directory / name), 0, None)
-            for name in names
-            if name.endswith(".json") and len(name) == _KEY_LEN + len(".json")
-        }
-        for segment in (str(self.directory / name) for name in names if name.endswith(_SEGMENT_SUFFIX)):
+        with os.scandir(self.directory) as listing:
+            entries = sorted(listing, key=lambda entry: entry.name)
+        index: Dict[str, _Location] = {}
+        for entry in entries:
+            if entry.name.endswith(".json") and len(entry.name) == _KEY_LEN + len(".json"):
+                try:
+                    index[entry.name[:_KEY_LEN]] = (entry.path, 0, entry.stat().st_size)
+                except OSError as exc:
+                    logger.warning("cache file %s unreadable (%s); skipping it", entry.path, exc)
+        for segment in (entry.path for entry in entries if entry.name.endswith(_SEGMENT_SUFFIX)):
             try:
                 with open(segment, "rb") as fh:
                     offset = 0
@@ -591,15 +597,11 @@ class ResponseCache:
             return None
         path, offset, length = where
         try:
-            if length is None:
-                with open(path, "rb") as fh:
-                    data = fh.read()
-            else:
-                fd = os.open(path, os.O_RDONLY)
-                try:
-                    data = os.pread(fd, length, offset)
-                finally:
-                    os.close(fd)
+            fd = os.open(path, os.O_RDONLY)
+            try:
+                data = os.pread(fd, length, offset)
+            finally:
+                os.close(fd)
             sample = _cached_sample(json.loads(data))
         except (OSError, ValueError, OverflowError) as exc:
             logger.warning("cache entry %s unreadable (%s); treating as miss", key, exc)
@@ -608,8 +610,8 @@ class ResponseCache:
         self._count(hit=True)
         return sample
 
-    def put(self, key: str, sample: SampleOutput) -> Path:
-        """Append ``sample`` under ``key``; returns the segment it went to."""
+    def put(self, key: str, sample: SampleOutput) -> None:
+        """Append ``sample`` under ``key``."""
         if not _KEY_RE.fullmatch(key):
             raise ValueError(f"cache key {key!r} is not 64 lowercase hex digits")
         entry = {
@@ -636,7 +638,6 @@ class ResponseCache:
                 raise
             index[key] = (self._segment, self._size + _KEY_LEN + 1, len(line) - _KEY_LEN - 2)
             self._size += written
-            return Path(self._segment)
 
     def _open_segment(self) -> None:
         while True:
@@ -680,7 +681,8 @@ class HttpBackendConfig:
             raise ValidationError("max_in_flight must be >= 1")
 
 
-_FINISH_MAP = {"stop": FinishReason.STOP, "length": FinishReason.LENGTH}
+#: A reply's ``finish_reason`` as a sample's; a missing or null one is a stop.
+_FINISH_MAP = {None: FinishReason.STOP, "stop": FinishReason.STOP, "length": FinishReason.LENGTH}
 
 
 def _retry_after_seconds(value: str) -> Optional[float]:
@@ -738,7 +740,7 @@ def _connection_pool(url: str, size: int):
 
     import urllib3
 
-    kwargs: Dict[str, object] = {"maxsize": size}
+    kwargs: Dict[str, object] = {"maxsize": size, "block": True}
     bundle = os.environ.get("REQUESTS_CA_BUNDLE") or os.environ.get("CURL_CA_BUNDLE")
     if bundle:
         kwargs["ca_cert_dir" if os.path.isdir(bundle) else "ca_certs"] = bundle
@@ -786,9 +788,10 @@ def _reply_text(resp) -> str:
 class HttpBackend:
     """Client for ``POST /v1/chat/completions`` with retries and replay cache.
 
-    Safe for concurrent use; a bounded semaphore caps in-flight requests at
-    ``config.max_in_flight``, which is also the size of its connection pool
-    and the width of its waves. Each POST goes straight to a urllib3 pool
+    Safe for concurrent use. Its connection pool holds ``config.max_in_flight``
+    connections, and a POST waits for a free one, so that is the cap on
+    requests in flight, across all the threads that share the backend; it is
+    also the width of its waves. Each POST goes straight to a urllib3 pool
     manager (a proxy manager when a proxy applies), with urllib3's own
     retries and redirects off: :meth:`_post_with_retries` does the retrying,
     and a 3xx reply fails its request at once, as a 4xx other than 429 does.
@@ -806,11 +809,7 @@ class HttpBackend:
         self._url = config.base_url.rstrip("/") + "/v1/chat/completions"
         self._pool = _connection_pool(self._url, config.max_in_flight)
         self._headers = _request_headers(self._url, config.api_key)
-        self._semaphore = threading.BoundedSemaphore(config.max_in_flight)
-
-    @property
-    def max_in_flight(self) -> int:
-        return self.config.max_in_flight
+        self.max_in_flight = config.max_in_flight
 
     # -- request plumbing ---------------------------------------------------
 
@@ -830,13 +829,6 @@ class HttpBackend:
             sample_index,
         )
 
-    def _post_once(self, body: bytes):
-        with self._semaphore:
-            return self._pool.urlopen(
-                "POST", self._url, body=body, headers=self._headers,
-                retries=False, timeout=self.config.timeout_seconds,
-            )
-
     def _post_with_retries(self, body: bytes) -> dict:
         from urllib3.exceptions import HTTPError
 
@@ -844,7 +836,10 @@ class HttpBackend:
         for attempt in range(self.config.max_retries + 1):
             wait = self.config.backoff_seconds * (2**attempt)
             try:
-                resp = self._post_once(body)
+                resp = self._pool.urlopen(
+                    "POST", self._url, body=body, headers=self._headers,
+                    retries=False, timeout=self.config.timeout_seconds,
+                )
             except HTTPError as exc:
                 last_error = f"transport error: {exc}"
             else:
@@ -880,9 +875,10 @@ class HttpBackend:
         """The sample one reply choice holds.
 
         Raises :class:`BackendError` when the choice, its ``message`` or its
-        ``logprobs`` is present but not a JSON object, or the content is not a
-        string. Logprobs that are unparsable, non-finite or positive come back
-        empty, as if the endpoint had sent none.
+        ``logprobs`` is present but not a JSON object, or the content or the
+        ``finish_reason`` is present but not a string. Logprobs that are
+        unparsable, non-finite or positive come back empty, as if the endpoint
+        had sent none.
         """
         if not isinstance(choice, dict):
             raise BackendError(f"reply choice is not a JSON object: {choice!r:.200}")
@@ -900,10 +896,10 @@ class HttpBackend:
                 logprobs = _usable_logprobs(parsed)
             except (KeyError, TypeError, ValueError):
                 logprobs = ()
-        finish = _FINISH_MAP.get(choice.get("finish_reason"), FinishReason.ERROR)
-        if choice.get("finish_reason") is None:
-            finish = FinishReason.STOP
-        return SampleOutput(text, logprobs, finish)
+        reason = choice.get("finish_reason")
+        if reason is not None and not isinstance(reason, str):
+            raise BackendError(f"reply choice finish_reason is not a string: {reason!r:.200}")
+        return SampleOutput(text, logprobs, _FINISH_MAP.get(reason, FinishReason.ERROR))
 
     # -- public API ----------------------------------------------------------
 

@@ -125,14 +125,22 @@ def _read_scores_jsonl(path: Path, temperature: float) -> Dict[str, float]:
     for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
         if not line.strip():
             continue
-        row = json.loads(line)
+        try:
+            row = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ValidationError(f"{path}:{lineno}: invalid JSON ({exc})") from exc
+        if not isinstance(row, dict) or "id" not in row:
+            raise ValidationError(f"{path}:{lineno}: need a JSON object with an 'id'")
         qid = str(row["id"])
-        if "p" in row:
-            probs[qid] = float(row["p"])
-        elif "score" in row:
-            probs[qid] = score_to_prob(float(row["score"]), temperature)
-        else:
+        if qid in probs:
+            raise ValidationError(f"{path}:{lineno}: duplicate id {qid!r}")
+        field = "p" if "p" in row else "score"
+        if field not in row:
             raise ValidationError(f"{path}:{lineno}: need either 'p' or 'score'")
+        value = row[field]
+        if type(value) not in (int, float):
+            raise ValidationError(f"{path}:{lineno}: {field!r} must be a number, got {value!r:.200}")
+        probs[qid] = float(value) if field == "p" else score_to_prob(float(value), temperature)
     if not probs:
         raise ValidationError(f"{path}: no score rows found")
     return probs
@@ -179,14 +187,26 @@ def _cmd_allocate(args: argparse.Namespace) -> int:
 def _cmd_invert(args: argparse.Namespace) -> int:
     points = []
     with open(args.points, newline="", encoding="utf-8") as fh:
-        for row in csv.reader(fh):
+        reader = csv.reader(fh)
+        first = True
+        for row in reader:
             if not row or not row[0].strip():
                 continue
             try:
-                points.append((float(row[0]), float(row[1])))
-            except ValueError:
-                continue  # header row
-    targets = [float(t) for t in args.targets.split(",") if t.strip()]
+                n, accuracy = (float(cell) for cell in row[:2])
+            except ValueError as exc:
+                # only the first row may be a header
+                if not first:
+                    raise ValidationError(
+                        f"{args.points}:{reader.line_num}: need two numbers N,accuracy, got {row!r:.200}"
+                    ) from exc
+            else:
+                points.append((n, accuracy))
+            first = False
+    try:
+        targets = [float(t) for t in args.targets.split(",") if t.strip()]
+    except ValueError as exc:
+        raise ValidationError(f"--targets: {exc}") from exc
     results = min_budget_curve(points, targets)
     lines = ["target,min_n"]
     for target, n in results:

@@ -152,7 +152,12 @@ def parse_seed_list(text: str) -> Tuple[int, ...]:
 
 
 def load_questions_jsonl(path: Path) -> list[QuestionRecord]:
-    questions = []
+    """The questions of a JSONL file, one JSON object per line. A numeric
+    ``gold_answer`` is read as its ``str``; :class:`ValidationError` names the
+    line of a row that is not an object, lacks ``id`` or ``prompt``, repeats
+    an earlier id, or has a ``gold_answer`` that is neither a string nor a
+    number."""
+    questions: Dict[str, QuestionRecord] = {}
     for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
         if not line.strip():
             continue
@@ -160,20 +165,26 @@ def load_questions_jsonl(path: Path) -> list[QuestionRecord]:
             row = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ValidationError(f"{path}:{lineno}: invalid JSON ({exc})") from exc
+        if not isinstance(row, dict):
+            raise ValidationError(f"{path}:{lineno}: a question must be a JSON object")
+        gold = row.get("gold_answer")
+        if type(gold) in (int, float):
+            gold = str(gold)
         try:
-            questions.append(
-                QuestionRecord(
-                    id=str(row["id"]),
-                    prompt=str(row["prompt"]),
-                    gold_answer=row.get("gold_answer"),
-                    task_kind=TaskKind(row.get("task_kind", "open_math")),
-                )
+            question = QuestionRecord(
+                id=str(row["id"]),
+                prompt=str(row["prompt"]),
+                gold_answer=gold,
+                task_kind=TaskKind(row.get("task_kind", "open_math")),
             )
         except (KeyError, ValueError) as exc:
             raise ValidationError(f"{path}:{lineno}: bad question record ({exc})") from exc
+        if question.id in questions:
+            raise ValidationError(f"{path}:{lineno}: duplicate question id {question.id!r}")
+        questions[question.id] = question
     if not questions:
         raise ValidationError(f"{path}: no questions found")
-    return questions
+    return list(questions.values())
 
 
 def world_config_from_settings(cfg: Mapping[str, str]) -> WorldConfig:

@@ -66,6 +66,8 @@ class QuestionRecord:
     def __post_init__(self):
         if not self.id:
             raise ValidationError("question id must be nonempty")
+        if self.gold_answer is not None and not isinstance(self.gold_answer, str):
+            raise ValidationError(f"gold_answer must be a string or None, got {self.gold_answer!r:.200}")
         if self.length_chars < 0:
             object.__setattr__(self, "length_chars", len(self.prompt))
         elif self.length_chars != len(self.prompt):

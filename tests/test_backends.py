@@ -871,6 +871,8 @@ class TestHttpBackend:
             {"choices": [{"message": {"content": "hi"}, "logprobs": [{"logprob": -0.1}]}]},
             {"choices": [{"message": {"content": ["hi"]}}]},
             {"choices": {"0": {"message": {"content": "hi"}}}},
+            {"choices": [{"message": {"content": "x"}, "finish_reason": ["stop"]}]},
+            {"choices": [{"message": {"content": "x"}, "finish_reason": {"a": 1}}]},
         ],
     )
     def test_malformed_choice_fails_its_request(self, stub_server, tmp_path, reply):
@@ -1110,6 +1112,28 @@ class TestPhaseWaves:
         assert len(state.requests) == 2 * serial_posts
         assert state.peak_in_flight >= 2
 
+    def test_max_in_flight_caps_requests_across_waves(self, stub_server):
+        url, state = stub_server
+        state.delay_s = 0.05
+        backend = _http_backend(url, max_in_flight=2)
+        outcomes = []
+
+        def wave(tag):
+            requests = [BackendRequest(f"{tag}{i}", f"{tag} prompt {i}", 1) for i in range(4)]
+            outcomes.extend(out for _, out in generate_wave(backend, requests))
+
+        # two waves of width 2 at once: only the backend's limit keeps the
+        # total at 2
+        threads = [threading.Thread(target=wave, args=(tag,)) for tag in "ab"]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(outcomes) == 8
+        assert all(isinstance(out, BackendResponse) for out in outcomes)
+        assert state.peak_in_flight == 2
+
     def test_failure_touches_its_own_question_only(self, stub_server):
         url, state = stub_server
         state.delay_s = 0.01
@@ -1149,19 +1173,24 @@ class TestPhaseWaves:
         state.delay_s = 0.01
         questions = _wave_questions()
         clean = _result_lines(questions, _http_backend(url, max_in_flight=1), Policy.UNIFORM)
-        state.peak_in_flight = 0
         doomed = questions[3].prompt
-        state.raw_reply = lambda body: (
-            json.dumps({"choices": ["x"] * body["n"]}).encode()
-            if body["messages"][0]["content"] == doomed else None
-        )
-        flaky = _result_lines(questions, _http_backend(url, max_in_flight=4), Policy.UNIFORM)
-        assert state.peak_in_flight >= 2
-        assert flaky[:3] + flaky[4:] == clean[:3] + clean[4:]
-        failed = json.loads(flaky[3])
-        assert failed["final_answer"] == ""
-        assert failed["samples_used"] == 3
-        assert failed["p_i"] == 0.5
+        for choice in [
+            "x",
+            {"message": {"content": "x"}, "finish_reason": ["stop"]},
+            {"message": {"content": "x"}, "finish_reason": {"a": 1}},
+        ]:
+            state.peak_in_flight = 0
+            state.raw_reply = lambda body, choice=choice: (
+                json.dumps({"choices": [choice] * body["n"]}).encode()
+                if body["messages"][0]["content"] == doomed else None
+            )
+            flaky = _result_lines(questions, _http_backend(url, max_in_flight=4), Policy.UNIFORM)
+            assert state.peak_in_flight >= 2
+            assert flaky[:3] + flaky[4:] == clean[:3] + clean[4:]
+            failed = json.loads(flaky[3])
+            assert failed["final_answer"] == ""
+            assert failed["samples_used"] == 3
+            assert failed["p_i"] == 0.5
 
     def test_infinite_logprob_gets_the_fallback_probability(self, stub_server):
         url, state = stub_server
@@ -1271,6 +1300,27 @@ class TestPhaseWaves:
         failing = _FailingFor(_http_backend(url, max_in_flight=4), "w1")
         with pytest.raises(BackendError, match="injected"):
             judge_classify_all(_wave_questions(4), failing)
+
+    def test_cli_run_over_http_reads_numeric_gold_answers(self, stub_server, tmp_path):
+        from uab.cli import main
+
+        url, _state = stub_server
+        prompts = [f"What is {i} + {i}?" for i in range(4)]
+        questions = tmp_path / "questions.jsonl"
+        # each gold answer is the stub's answer to choice 0, as a JSON number
+        questions.write_text("".join(
+            json.dumps({"id": f"n{i}", "prompt": prompt, "gold_answer": len(prompt) % 3}) + "\n"
+            for i, prompt in enumerate(prompts)
+        ))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"http.base_url = {url}\nhttp.model = stub-model\nrun.out = {tmp_path / 'out'}\n")
+        rc = main(["run", "--config", str(cfg), "--backend", "http", "--questions", str(questions),
+                   "--n", "1", "--seed", "0"])
+        assert rc == 0
+        rows = [json.loads(line) for line in (tmp_path / "out" / "uab_seed0.jsonl").read_text().splitlines()]
+        assert [(r["question_id"], r["final_answer"], r["correct"]) for r in rows] == [
+            (f"n{i}", str(len(prompt) % 3), True) for i, prompt in enumerate(prompts)
+        ]
 
     def test_cli_judge_over_http_uses_cache_dir(self, stub_server, tmp_path):
         from uab.cli import main

@@ -113,6 +113,11 @@ class TestConfigParsing:
         questions = load_questions_jsonl(path)
         assert [q.id for q in questions] == ["a", "b"]
         assert questions[0].gold_answer == "1"
+        numbers = tmp_path / "numbers.jsonl"
+        numbers.write_text(
+            '{"id": "a", "prompt": "p?", "gold_answer": 4}\n{"id": "b", "prompt": "q?", "gold_answer": 2.5}\n'
+        )
+        assert [q.gold_answer for q in load_questions_jsonl(numbers)] == ["4", "2.5"]
         empty = tmp_path / "empty.jsonl"
         empty.write_text("\n")
         with pytest.raises(ValidationError, match="no questions"):
@@ -229,6 +234,54 @@ class TestCli:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("rows, bad_line", [
+        (['{"id": "a", "prompt": "p?", "gold_answer": true}'], 1),
+        (['{"id": "a", "prompt": "p?"}', '{"id": "b", "prompt": "q?"}', '{"id": "a", "prompt": "r?"}'], 3),
+        (['{"id": "a", "prompt": "p?"}', '["b", "q?"]'], 2),
+    ], ids=["bool_gold_answer", "duplicate_id", "array_row"])
+    def test_bad_questions_file_exits_2_naming_the_line(self, tmp_path, capsys, monkeypatch, rows, bad_line):
+        questions = tmp_path / "questions.jsonl"
+        questions.write_text("".join(row + "\n" for row in rows))
+        # an endpoint is named, so only the questions file can stop the run
+        monkeypatch.setenv("UAB_API_BASE", "http://127.0.0.1:9")
+        monkeypatch.setenv("UAB_MODEL", "m")
+        rc = self.run_cli(
+            "run", "--backend", "http", "--questions", str(questions), "--out", str(tmp_path / "out"),
+        )
+        assert rc == 2
+        assert f"error: {questions}:{bad_line}: " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("rows, bad_line", [
+        (['{"id": "q1", "p": 0.2}', '{"id": "q2", "p": 0.3'], 2),
+        (['{"p": 0.2}'], 1),
+        (['{"id": "q1", "p": "high"}'], 1),
+        (['{"id": "q1", "score": [0.1]}'], 1),
+        (['{"id": "q1", "p": 0.2}', '{"id": "q2", "p": 0.4}', '{"id": "q1", "p": 0.6}'], 3),
+    ], ids=["not_json", "missing_id", "p_not_a_number", "score_not_a_number", "duplicate_id"])
+    def test_bad_scores_file_exits_2_naming_the_line(self, tmp_path, capsys, rows, bad_line):
+        scores = tmp_path / "scores.jsonl"
+        scores.write_text("".join(row + "\n" for row in rows))
+        rc = self.run_cli("allocate", "--scores", str(scores), "--n", "3", "--out", str(tmp_path / "alloc.jsonl"))
+        assert rc == 2
+        assert f"error: {scores}:{bad_line}: " in capsys.readouterr().err
+        assert not (tmp_path / "alloc.jsonl").exists()
+
+    @pytest.mark.parametrize("points_csv, targets, message", [
+        ("n,acc\n1,40\n2\n4,48\n", "44", "points.csv:3: "),
+        ("n,acc\n1,40\n2,oops\n4,48\n", "44", "points.csv:3: "),
+        ("1,40\nn,acc\n4,48\n", "44", "points.csv:2: "),
+        ("n,acc\n1,40\n4,48\n", "44,high", "--targets: "),
+    ], ids=["one_cell_row", "unparsable_row", "header_after_first_row", "target_not_a_number"])
+    def test_bad_invert_input_exits_2(self, tmp_path, capsys, points_csv, targets, message):
+        points = tmp_path / "points.csv"
+        points.write_text(points_csv)
+        rc = self.run_cli("invert", "--points", str(points), "--targets", targets)
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert message in captured.err and captured.err.startswith("error: ")
+        assert captured.out == ""
 
     def test_cli_flag_overrides_env(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("UAB_BUDGET_N", "2")

@@ -140,6 +140,11 @@ class TestDomainTypes:
         with pytest.raises(ValidationError):
             QuestionRecord(id="q1", prompt="hello", length_chars=3)
 
+    @pytest.mark.parametrize("gold", [4, True, ["4"]])
+    def test_question_gold_answer_must_be_a_string(self, gold):
+        with pytest.raises(ValidationError, match="gold_answer"):
+            QuestionRecord(id="q1", prompt="hello", gold_answer=gold)
+
     def test_budget_spec_arithmetic(self):
         spec = BudgetSpec(n_per_question=4, m_questions=3)
         assert spec.total == 12
