@@ -35,7 +35,7 @@ from datetime import datetime, timezone
 from enum import Enum
 from functools import partial
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -44,6 +44,7 @@ from .core import (
     QuestionRecord,
     TaskKind,
     ValidationError,
+    _validated_make,
 )
 
 logger = logging.getLogger(__name__)
@@ -194,10 +195,7 @@ class SimulatedWorld:
         raise ValidationError(f"unknown probability law {law!r}")
 
 
-@dataclass(frozen=True)
-class BackendRequest:
-    """One generation request for one question."""
-
+class _RequestFields(NamedTuple):
     question_id: str
     prompt: str
     sample_count: int
@@ -211,22 +209,40 @@ class BackendRequest:
     #: requests set it. Not part of the HTTP payload or the cache key.
     judge: bool = False
 
-    def __post_init__(self):
-        if self.sample_count < 1:
+
+class BackendRequest(_RequestFields):
+    """One generation request for one question.
+
+    A validated tuple of its fields, as :class:`~uab.core.QuestionRecord` is.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, question_id: str, prompt: str, sample_count: int,
+                sampling_temperature: float = DEFAULT_SAMPLING_TEMPERATURE, max_tokens: int = DEFAULT_MAX_TOKENS,
+                want_logprobs: bool = True, first_sample_index: int = 0, judge: bool = False):
+        if sample_count < 1:
             raise ValidationError("sample_count must be >= 1")
-        if self.first_sample_index < 0:
+        if first_sample_index < 0:
             raise ValidationError("first_sample_index must be >= 0")
+        return tuple.__new__(cls, (question_id, prompt, sample_count, sampling_temperature, max_tokens,
+                                   want_logprobs, first_sample_index, judge))
+
+    _make = classmethod(_validated_make)
 
 
-@dataclass(frozen=True, slots=True)
-class SampleOutput:
+class SampleOutput(NamedTuple):
+    """One generated sample: a tuple of its fields, which unpacks and compares
+    equal to a tuple of the same values."""
+
     text: str
     token_logprobs: Tuple[float, ...]
     finish_reason: FinishReason
 
 
-@dataclass
-class BackendResponse:
+class BackendResponse(NamedTuple):
+    """The samples of one request, in order: a one-field tuple."""
+
     samples: List[SampleOutput]
 
 

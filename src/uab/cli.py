@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -18,7 +19,7 @@ from typing import Dict, List, Optional
 
 from .allocation import ExitKind, ExitMode, ThresholdExitConfig, apply_threshold_exits, verify_kkt
 from .backends import judge_classify_all
-from .config import build_experiment_config, env_overrides, load_config_file, merge_settings
+from .config import build_experiment_config, env_overrides, json_id, load_config_file, merge_settings
 from .core import SignalKind, ValidationError, coverage_objective
 from .curves import min_budget_curve
 from .harness import (
@@ -131,7 +132,10 @@ def _read_scores_jsonl(path: Path, temperature: float) -> Dict[str, float]:
             raise ValidationError(f"{path}:{lineno}: invalid JSON ({exc})") from exc
         if not isinstance(row, dict) or "id" not in row:
             raise ValidationError(f"{path}:{lineno}: need a JSON object with an 'id'")
-        qid = str(row["id"])
+        try:
+            qid = json_id(row["id"])
+        except ValidationError as exc:
+            raise ValidationError(f"{path}:{lineno}: {exc}") from exc
         if qid in probs:
             raise ValidationError(f"{path}:{lineno}: duplicate id {qid!r}")
         field = "p" if "p" in row else "score"
@@ -140,7 +144,12 @@ def _read_scores_jsonl(path: Path, temperature: float) -> Dict[str, float]:
         value = row[field]
         if type(value) not in (int, float):
             raise ValidationError(f"{path}:{lineno}: {field!r} must be a number, got {value!r:.200}")
-        probs[qid] = float(value) if field == "p" else score_to_prob(float(value), temperature)
+        value = float(value)
+        if field == "p" and not 0.0 <= value <= 1.0:
+            raise ValidationError(f"{path}:{lineno}: 'p' must be a probability in [0, 1], got {value!r}")
+        if field == "score" and not (math.isfinite(value) and value >= 0):
+            raise ValidationError(f"{path}:{lineno}: 'score' must be finite and >= 0, got {value!r}")
+        probs[qid] = value if field == "p" else score_to_prob(value, temperature)
     if not probs:
         raise ValidationError(f"{path}: no score rows found")
     return probs

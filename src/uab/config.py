@@ -151,12 +151,23 @@ def parse_seed_list(text: str) -> Tuple[int, ...]:
     return seeds
 
 
+def json_id(value: object) -> str:
+    """An ``id`` read from a JSON file: a string as it is, an integer (not a
+    bool) as its decimal string; anything else is a :class:`ValidationError`."""
+    if isinstance(value, str):
+        return value
+    if type(value) is int:
+        return str(value)
+    raise ValidationError(f"'id' must be a string or an integer, got {value!r:.200}")
+
+
 def load_questions_jsonl(path: Path) -> list[QuestionRecord]:
-    """The questions of a JSONL file, one JSON object per line. A numeric
-    ``gold_answer`` is read as its ``str``; :class:`ValidationError` names the
-    line of a row that is not an object, lacks ``id`` or ``prompt``, repeats
-    an earlier id, or has a ``gold_answer`` that is neither a string nor a
-    number."""
+    """The questions of a JSONL file, one JSON object per line. An integer
+    ``id`` and a numeric ``gold_answer`` are read as their ``str``;
+    :class:`ValidationError` names the line of a row that is not an object,
+    lacks ``id`` or ``prompt``, repeats an earlier id, has an ``id`` that is
+    neither a string nor an integer, a ``prompt`` that is not a string, or a
+    ``gold_answer`` that is neither a string nor a number."""
     questions: Dict[str, QuestionRecord] = {}
     for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
         if not line.strip():
@@ -172,8 +183,8 @@ def load_questions_jsonl(path: Path) -> list[QuestionRecord]:
             gold = str(gold)
         try:
             question = QuestionRecord(
-                id=str(row["id"]),
-                prompt=str(row["prompt"]),
+                id=json_id(row["id"]),
+                prompt=row["prompt"],
                 gold_answer=gold,
                 task_kind=TaskKind(row.get("task_kind", "open_math")),
             )

@@ -1,7 +1,10 @@
 """Shared domain types and the coverage-objective arithmetic.
 
 Everything here is an immutable value object or a pure function, so all of it
-is safe to use from concurrent code without locking.
+is safe to use from concurrent code without locking. Records built once per
+question or sample are validated :class:`~typing.NamedTuple` subclasses,
+which are cheaper to build than frozen dataclasses; configuration built once
+per run stays a frozen dataclass.
 """
 
 from __future__ import annotations
@@ -10,7 +13,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Optional
+from typing import Mapping, NamedTuple, Optional
 
 
 class ValidationError(ValueError):
@@ -47,49 +50,80 @@ LOGPROB_SIGNALS = frozenset(
 )
 
 
+def _validated_make(cls, iterable):
+    """``_make`` of a validated NamedTuple subclass: through ``__new__``, so
+    that ``_make`` and ``_replace`` check the fields as the constructor does."""
+    return cls(*iterable)
+
+
 class FinishReason(str, Enum):
     STOP = "stop"
     LENGTH = "length"
     ERROR = "error"
 
 
-@dataclass(frozen=True)
-class QuestionRecord:
-    """One input question. ``length_chars`` always equals ``len(prompt)``."""
-
+class _QuestionFields(NamedTuple):
     id: str
     prompt: str
     gold_answer: Optional[str] = None
     task_kind: TaskKind = TaskKind.OPEN_MATH
     length_chars: int = -1
 
-    def __post_init__(self):
-        if not self.id:
+
+class QuestionRecord(_QuestionFields):
+    """One input question. ``length_chars`` always equals ``len(prompt)``.
+
+    A validated tuple of its fields: it unpacks, and compares equal to a tuple
+    of the same values; ``_make`` and ``_replace`` validate as the constructor
+    does.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, id: str, prompt: str, gold_answer: Optional[str] = None,
+                task_kind: TaskKind = TaskKind.OPEN_MATH, length_chars: int = -1):
+        if not isinstance(id, str):
+            raise ValidationError(f"question id must be a string, got {id!r:.200}")
+        if not id:
             raise ValidationError("question id must be nonempty")
-        if self.gold_answer is not None and not isinstance(self.gold_answer, str):
-            raise ValidationError(f"gold_answer must be a string or None, got {self.gold_answer!r:.200}")
-        if self.length_chars < 0:
-            object.__setattr__(self, "length_chars", len(self.prompt))
-        elif self.length_chars != len(self.prompt):
+        if not isinstance(prompt, str):
+            raise ValidationError(f"prompt must be a string, got {prompt!r:.200}")
+        if gold_answer is not None and not isinstance(gold_answer, str):
+            raise ValidationError(f"gold_answer must be a string or None, got {gold_answer!r:.200}")
+        if length_chars < 0:
+            length_chars = len(prompt)
+        elif length_chars != len(prompt):
             raise ValidationError(
-                f"length_chars={self.length_chars} does not match prompt length {len(self.prompt)}"
+                f"length_chars={length_chars} does not match prompt length {len(prompt)}"
             )
+        return tuple.__new__(cls, (id, prompt, gold_answer, task_kind, length_chars))
+
+    _make = classmethod(_validated_make)
 
 
-@dataclass(frozen=True)
-class DifficultyEstimate:
-    """Per-question difficulty score and derived per-sample success probability."""
-
+class _DifficultyFields(NamedTuple):
     question_id: str
     score: float
     prob: float
     signal_kind: SignalKind
 
-    def __post_init__(self):
-        if not math.isfinite(self.score) or self.score < 0:
-            raise ValidationError(f"difficulty score must be finite and >= 0, got {self.score}")
-        if not 0.0 <= self.prob <= 1.0:
-            raise ValidationError(f"success probability must be in [0, 1], got {self.prob}")
+
+class DifficultyEstimate(_DifficultyFields):
+    """Per-question difficulty score and derived per-sample success probability.
+
+    A validated tuple of its fields, as :class:`QuestionRecord` is.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, question_id: str, score: float, prob: float, signal_kind: SignalKind):
+        if not math.isfinite(score) or score < 0:
+            raise ValidationError(f"difficulty score must be finite and >= 0, got {score}")
+        if not 0.0 <= prob <= 1.0:
+            raise ValidationError(f"success probability must be in [0, 1], got {prob}")
+        return tuple.__new__(cls, (question_id, score, prob, signal_kind))
+
+    _make = classmethod(_validated_make)
 
 
 @dataclass(frozen=True)
@@ -154,10 +188,7 @@ class AllocationVector:
         return self.budget_effective - self.total_extras()
 
 
-@dataclass(frozen=True)
-class ExperimentResult:
-    """Final outcome for one question under one policy run."""
-
+class _ResultFields(NamedTuple):
     question_id: str
     final_answer: str
     correct: Optional[bool]
@@ -165,9 +196,22 @@ class ExperimentResult:
     difficulty: DifficultyEstimate
     policy: str
 
-    def __post_init__(self):
-        if self.samples_used < 1:
+
+class ExperimentResult(_ResultFields):
+    """Final outcome for one question under one policy run.
+
+    A validated tuple of its fields, as :class:`QuestionRecord` is.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, question_id: str, final_answer: str, correct: Optional[bool], samples_used: int,
+                difficulty: DifficultyEstimate, policy: str):
+        if samples_used < 1:
             raise ValidationError("samples_used must be >= 1")
+        return tuple.__new__(cls, (question_id, final_answer, correct, samples_used, difficulty, policy))
+
+    _make = classmethod(_validated_make)
 
 
 def residual_failure_power(p: float, n: int) -> float:

@@ -108,18 +108,40 @@ def pearson_r(x: Sequence[float], y: Sequence[float]) -> float:
     return sxy / math.sqrt(sxx * syy)
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _json_value(value) -> str:
+    """``json.dumps(value, ensure_ascii=True, separators=(",", ":"))``,
+    written out directly for the scalars of a result line: a ``json.dumps``
+    call with these settings builds a new encoder each time."""
+    if isinstance(value, str):
+        return _encode_str(value)
+    if isinstance(value, float) and math.isfinite(value):
+        # numpy's float64 is a float, and json writes it with float's repr too
+        return float.__repr__(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    return json.dumps(value, ensure_ascii=True, separators=(",", ":"))
+
+
 def result_json_line(result) -> str:
-    """Fixed-order JSON line for one ExperimentResult."""
-    payload = {
-        "question_id": result.question_id,
-        "policy": result.policy,
-        "final_answer": result.final_answer,
-        "correct": result.correct,
-        "samples_used": result.samples_used,
-        "anll": result.difficulty.score,
-        "p_i": result.difficulty.prob,
-    }
-    return json.dumps(payload, ensure_ascii=True, separators=(",", ":"))
+    """Fixed-order JSON line for one ExperimentResult: the bytes of
+    ``json.dumps`` of its seven fields with ``ensure_ascii=True`` and
+    ``separators=(",", ":")``."""
+    difficulty = result.difficulty
+    return (
+        f'{{"question_id":{_json_value(result.question_id)},"policy":{_json_value(result.policy)},'
+        f'"final_answer":{_json_value(result.final_answer)},"correct":{_json_value(result.correct)},'
+        f'"samples_used":{_json_value(result.samples_used)},"anll":{_json_value(difficulty.score)},'
+        f'"p_i":{_json_value(difficulty.prob)}}}'
+    )
 
 
 def write_results_jsonl(results, path: Path) -> None:

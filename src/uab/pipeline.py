@@ -13,10 +13,9 @@ from __future__ import annotations
 import logging
 import math
 import re
-from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, List, Mapping, Optional, Sequence, Union
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -98,8 +97,11 @@ class PipelineConfig:
         return self.budget.total - self.phase1_samples_k * self.budget.m_questions
 
 
-@dataclass(frozen=True)
-class VoteTally:
+class VoteTally(NamedTuple):
+    """The vote counts by answer, in first-vote order, and the winning answer:
+    a tuple of the two, which unpacks and compares equal to a tuple of the
+    same values."""
+
     counts: Mapping[str, int]
     winner: str
 
@@ -131,11 +133,18 @@ def canonicalize_answer(raw: str) -> str:
 
 
 def _last_boxed(text: str) -> Optional[str]:
+    """The content of the last ``\\boxed{...}``, or None when there is none or
+    its braces do not close."""
     start = text.rfind(_BOXED_MARK)
     if start < 0:
         return None
-    depth = 1
     begin = start + len(_BOXED_MARK)
+    end = text.find("}", begin)
+    if end < 0:
+        return None
+    if text.find("{", begin, end) < 0:
+        return text[begin:end]
+    depth = 1
     for j in range(begin, len(text)):
         ch = text[j]
         if ch == "{":
@@ -147,26 +156,39 @@ def _last_boxed(text: str) -> Optional[str]:
     return None
 
 
-def parse_answer(text: str, task_kind: TaskKind) -> Optional[str]:
+def _canonical(span: str, memo: Optional[Dict[str, str]]) -> str:
+    """``canonicalize_answer(span)``, looked up in ``memo`` and added to it on
+    a miss when a memo is given."""
+    if memo is None:
+        return canonicalize_answer(span)
+    canonical = memo.get(span)
+    if canonical is None:
+        canonical = memo[span] = canonicalize_answer(span)
+    return canonical
+
+
+def parse_answer(text: str, task_kind: TaskKind, memo: Optional[Dict[str, str]] = None) -> Optional[str]:
     """Extract a canonical answer from raw model output, or None to abstain.
 
     Open-math answers come from the last ``\\boxed{...}``, else the last
     number-like token; multiple choice takes the last standalone option letter
-    A-J, case-normalized.
+    A-J, case-normalized. ``memo``, when given, maps each open-math span
+    already seen to its :func:`canonicalize_answer` form, so that a span that
+    recurs across samples is canonicalized once; the result is the same with
+    or without it.
     """
     if not text:
         return None
     if task_kind == TaskKind.MULTIPLE_CHOICE:
         letters = _OPTION_RE.findall(text)
         return letters[-1].upper() if letters else None
-    boxed = _last_boxed(text)
-    if boxed is not None:
-        canonical = canonicalize_answer(boxed)
-        return canonical or None
-    numbers = _NUMBER_RE.findall(text)
-    if numbers:
-        return canonicalize_answer(numbers[-1])
-    return None
+    span = _last_boxed(text)
+    if span is None:
+        numbers = _NUMBER_RE.findall(text)
+        if not numbers:
+            return None
+        span = numbers[-1]
+    return _canonical(span, memo) or None
 
 
 def majority_vote(parsed_answers: Sequence[Optional[str]]) -> VoteTally:
@@ -175,20 +197,22 @@ def majority_vote(parsed_answers: Sequence[Optional[str]]) -> VoteTally:
     Abstentions (None) do not vote. Raises :class:`NoVotesError` when every
     sample abstained.
     """
-    votes = [a for a in parsed_answers if a is not None]
-    if not votes:
+    counts: Dict[str, int] = {}
+    for answer in parsed_answers:
+        if answer is not None:
+            counts[answer] = counts.get(answer, 0) + 1
+    if not counts:
         raise NoVotesError("no votes")
-    counts = Counter(votes)
     top = max(counts.values())
     winner = min(a for a, c in counts.items() if c == top)
-    return VoteTally(counts=dict(counts), winner=winner)
+    return VoteTally(counts, winner)
 
 
-def _answer(sample: SampleOutput, task_kind: TaskKind) -> Optional[str]:
+def _answer(sample: SampleOutput, task_kind: TaskKind, memo: Dict[str, str]) -> Optional[str]:
     """The answer ``sample`` votes for; None, an abstention, when it errored."""
     if sample.finish_reason == FinishReason.ERROR:
         return None
-    return parse_answer(sample.text, task_kind)
+    return parse_answer(sample.text, task_kind, memo)
 
 
 # ---------------------------------------------------------------------------
@@ -393,8 +417,11 @@ def run_two_phase(
     for req, outcome in generate_wave(backend, (request(q, k, 0) for q in questions)):
         samples[req.question_id] = _samples(req, outcome)
     # each sample is parsed once, here or in Phase 2, for both the vote and
-    # the vote-entropy estimate
-    answers = {q.id: [_answer(s, q.task_kind) for s in samples[q.id]] for q in questions}
+    # the vote-entropy estimate; samples repeat a few short answer spans, so
+    # each distinct span is canonicalized once, for the run's samples and
+    # gold answers alike
+    memo: Dict[str, str] = {}
+    answers = {q.id: [_answer(s, q.task_kind, memo) for s in samples[q.id]] for q in questions}
 
     estimates = estimate_difficulties(
         questions, samples, config.signal_kind, config.budget.temperature, external_probs, answers
@@ -416,7 +443,7 @@ def run_two_phase(
     phase2 = (request(q, alloc.extras[q.id], k) for q in questions if alloc.extras.get(q.id, 0) > 0)
     for req, outcome in generate_wave(backend, phase2):
         task_kind = by_id[req.question_id].task_kind
-        answers[req.question_id].extend(_answer(s, task_kind) for s in _samples(req, outcome))
+        answers[req.question_id].extend(_answer(s, task_kind, memo) for s in _samples(req, outcome))
 
     results = []
     for q in questions:
@@ -426,7 +453,7 @@ def run_two_phase(
             final = ""
         correct = None
         if q.gold_answer is not None:
-            correct = bool(final) and final == canonicalize_answer(q.gold_answer)
+            correct = bool(final) and final == _canonical(q.gold_answer, memo)
         results.append(
             ExperimentResult(
                 question_id=q.id,

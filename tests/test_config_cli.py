@@ -239,7 +239,14 @@ class TestCli:
         (['{"id": "a", "prompt": "p?", "gold_answer": true}'], 1),
         (['{"id": "a", "prompt": "p?"}', '{"id": "b", "prompt": "q?"}', '{"id": "a", "prompt": "r?"}'], 3),
         (['{"id": "a", "prompt": "p?"}', '["b", "q?"]'], 2),
-    ], ids=["bool_gold_answer", "duplicate_id", "array_row"])
+        (['{"id": null, "prompt": "p?"}'], 1),
+        (['{"id": "a", "prompt": "p?"}', '{"id": ["x"], "prompt": "q?"}'], 2),
+        (['{"id": true, "prompt": "p?"}'], 1),
+        (['{"id": 1.5, "prompt": "p?"}'], 1),
+        (['{"id": "a", "prompt": null}'], 1),
+        (['{"id": "a", "prompt": {"a": 1}}'], 1),
+    ], ids=["bool_gold_answer", "duplicate_id", "array_row", "null_id", "array_id", "bool_id", "float_id",
+            "null_prompt", "object_prompt"])
     def test_bad_questions_file_exits_2_naming_the_line(self, tmp_path, capsys, monkeypatch, rows, bad_line):
         questions = tmp_path / "questions.jsonl"
         questions.write_text("".join(row + "\n" for row in rows))
@@ -259,7 +266,17 @@ class TestCli:
         (['{"id": "q1", "p": "high"}'], 1),
         (['{"id": "q1", "score": [0.1]}'], 1),
         (['{"id": "q1", "p": 0.2}', '{"id": "q2", "p": 0.4}', '{"id": "q1", "p": 0.6}'], 3),
-    ], ids=["not_json", "missing_id", "p_not_a_number", "score_not_a_number", "duplicate_id"])
+        (['{"id": null, "p": 0.2}'], 1),
+        (['{"id": "q1", "p": 0.2}', '{"id": ["x"], "p": 0.2}'], 2),
+        (['{"id": false, "p": 0.2}'], 1),
+        (['{"id": "q1", "p": 0.2}', '{"id": "q2", "p": 1.5}'], 2),
+        (['{"id": "q1", "p": -0.5}'], 1),
+        (['{"id": "q1", "p": NaN}'], 1),
+        (['{"id": "q1", "score": 0.2}', '{"id": "q2", "score": NaN}'], 2),
+        (['{"id": "q1", "score": -1}'], 1),
+        (['{"id": "q1", "score": Infinity}'], 1),
+    ], ids=["not_json", "missing_id", "p_not_a_number", "score_not_a_number", "duplicate_id", "null_id", "array_id",
+            "bool_id", "p_above_one", "p_negative", "p_nan", "score_nan", "score_negative", "score_infinite"])
     def test_bad_scores_file_exits_2_naming_the_line(self, tmp_path, capsys, rows, bad_line):
         scores = tmp_path / "scores.jsonl"
         scores.write_text("".join(row + "\n" for row in rows))
@@ -267,6 +284,16 @@ class TestCli:
         assert rc == 2
         assert f"error: {scores}:{bad_line}: " in capsys.readouterr().err
         assert not (tmp_path / "alloc.jsonl").exists()
+
+    def test_integer_ids_read_as_decimal_strings(self, tmp_path):
+        questions = tmp_path / "questions.jsonl"
+        questions.write_text('{"id": 7, "prompt": "p?"}\n{"id": "7a", "prompt": "q?"}\n')
+        assert [q.id for q in load_questions_jsonl(questions)] == ["7", "7a"]
+        scores = tmp_path / "scores.jsonl"
+        scores.write_text('{"id": 12, "p": 0.5}\n{"id": "b", "score": 0}\n')
+        out = tmp_path / "alloc.jsonl"
+        assert self.run_cli("allocate", "--scores", str(scores), "--n", "2", "--out", str(out)) == 0
+        assert [json.loads(line)["id"] for line in out.read_text().splitlines()] == ["12", "b"]
 
     @pytest.mark.parametrize("points_csv, targets, message", [
         ("n,acc\n1,40\n2\n4,48\n", "44", "points.csv:3: "),

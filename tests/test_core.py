@@ -1,20 +1,27 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
 
+from uab.backends import BackendRequest, BackendResponse, SampleOutput
 from uab.core import (
     AllocationVector,
     BudgetSpec,
     DifficultyEstimate,
+    ExperimentResult,
+    FinishReason,
     MissingProbabilityError,
     QuestionRecord,
     SignalKind,
+    TaskKind,
     ValidationError,
     coverage_objective,
     marginal_gain,
     residual_failure_power,
 )
+from uab.pipeline import VoteTally
 
 
 def alloc(extras):
@@ -170,3 +177,84 @@ class TestDomainTypes:
             DifficultyEstimate("q", -0.1, 0.5, SignalKind.ANLL)
         with pytest.raises(ValidationError):
             DifficultyEstimate("q", 0.1, 1.5, SignalKind.ANLL)
+
+
+_ESTIMATE = DifficultyEstimate("q1", 0.25, 0.3, SignalKind.ANLL)
+_SAMPLE = SampleOutput("\\boxed{4}", (-0.1, -0.2), FinishReason.STOP)
+
+#: One valid record of each value type.
+_RECORDS = [
+    QuestionRecord("q1", "hello", gold_answer="4", task_kind=TaskKind.MULTIPLE_CHOICE),
+    _ESTIMATE,
+    ExperimentResult("q1", "4", True, 3, _ESTIMATE, "uab"),
+    BackendRequest("q1", "hello", 2, first_sample_index=1, judge=True),
+    _SAMPLE,
+    BackendResponse([_SAMPLE, _SAMPLE]),
+    VoteTally({"4": 2, "5": 1}, "4"),
+]
+
+#: For each value type with checks: a valid record, a field and a value the
+#: checks reject.
+_BAD_FIELDS = [
+    (_RECORDS[0], "id", ""),
+    (_RECORDS[0], "id", None),
+    (_RECORDS[0], "prompt", {"a": 1}),
+    (_RECORDS[0], "gold_answer", 4),
+    (_RECORDS[0], "length_chars", 3),
+    (_RECORDS[1], "score", -0.1),
+    (_RECORDS[1], "score", math.nan),
+    (_RECORDS[1], "prob", 1.5),
+    (_RECORDS[2], "samples_used", 0),
+    (_RECORDS[3], "sample_count", 0),
+    (_RECORDS[3], "first_sample_index", -1),
+]
+
+
+class TestValueRecords:
+    @pytest.mark.parametrize("record, field, bad", _BAD_FIELDS,
+                             ids=[f"{type(r).__name__}.{f}={b!r}" for r, f, b in _BAD_FIELDS])
+    def test_every_way_of_building_validates(self, record, field, bad):
+        values = {**record._asdict(), field: bad}
+        with pytest.raises(ValidationError):
+            type(record)(**values)
+        with pytest.raises(ValidationError):
+            type(record)._make(values.values())
+        with pytest.raises(ValidationError):
+            record._replace(**{field: bad})
+
+    @pytest.mark.parametrize("record", _RECORDS, ids=lambda r: type(r).__name__)
+    def test_fields_cannot_be_assigned(self, record):
+        for field in record._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, field, getattr(record, field))
+        with pytest.raises(AttributeError):
+            record.extra = 1
+
+    @pytest.mark.parametrize("record", _RECORDS, ids=lambda r: type(r).__name__)
+    def test_pickle_and_copy_round_trip(self, record):
+        for clone in (pickle.loads(pickle.dumps(record)), copy.copy(record), copy.deepcopy(record)):
+            assert type(clone) is type(record)
+            assert clone == record
+            assert repr(clone) == repr(record)
+
+    @pytest.mark.parametrize("record", _RECORDS, ids=lambda r: type(r).__name__)
+    def test_records_are_tuples_of_their_fields(self, record):
+        assert record == tuple(getattr(record, field) for field in record._fields)
+        assert type(record)._make(record) == record
+        assert record._replace() == record
+
+    def test_question_record_repr_and_derived_length(self):
+        q = QuestionRecord(id="q1", prompt="hi")
+        assert repr(q) == (
+            "QuestionRecord(id='q1', prompt='hi', gold_answer=None, "
+            "task_kind=<TaskKind.OPEN_MATH: 'open_math'>, length_chars=2)"
+        )
+        assert QuestionRecord._make(("q1", "hi")) == q
+        with pytest.raises(ValidationError, match="length_chars"):
+            q._replace(prompt="longer")
+        assert q._replace(prompt="longer", length_chars=-1).length_chars == 6
+
+    @pytest.mark.parametrize("qid, prompt", [(None, "p"), (["x"], "p"), (7, "p"), ("q", None), ("q", {"a": 1})])
+    def test_question_id_and_prompt_must_be_strings(self, qid, prompt):
+        with pytest.raises(ValidationError, match="id|prompt"):
+            QuestionRecord(id=qid, prompt=prompt)

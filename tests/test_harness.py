@@ -1,16 +1,19 @@
 import csv
 import hashlib
+import itertools
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from uab.backends import BetaLaw, FixedProbs, WorldConfig
-from uab.core import BudgetSpec, SignalKind, ValidationError
+from uab.core import BudgetSpec, DifficultyEstimate, ExperimentResult, SignalKind, ValidationError
 from uab.harness import (
     ExperimentConfig,
     pearson_r,
+    result_json_line,
     run_experiment,
     verify_suite,
 )
@@ -247,3 +250,42 @@ class TestTranscripts:
         for seed in (0, 1):
             digest.update((tmp_path / f"uab_seed{seed}.jsonl").read_bytes())
         assert digest.hexdigest() == GOLDEN_DIGESTS[rho, signal]
+
+
+def _reference_line(result) -> str:
+    """A results line as ``json.dumps`` writes it."""
+    payload = {
+        "question_id": result.question_id,
+        "policy": result.policy,
+        "final_answer": result.final_answer,
+        "correct": result.correct,
+        "samples_used": result.samples_used,
+        "anll": result.difficulty.score,
+        "p_i": result.difficulty.prob,
+    }
+    return json.dumps(payload, ensure_ascii=True, separators=(",", ":"))
+
+
+_STRINGS = ["q1", "", "caf\u00e9 \u65e5\u672c \U0001f600", 'say "hi"', "back\\slash", "\x00\x01\x1f\n\t\r\x7f",
+            "line\u2028sep\u2029", Policy.UAB]
+_SCORES = [0.0, -0.0, 5e-324, 0.1, 1 / 3, 1e300, 7, np.float64(0.3), np.float64(2.5e-8)]
+_PROBS = [0.0, -0.0, 5e-324, 0.5, 1, 1.0, np.float64(1 / 3)]
+
+
+class TestResultJsonLine:
+    def test_matches_json_dumps_on_results(self):
+        lines = 0
+        for text, correct, score, prob in itertools.product(_STRINGS, (None, True, False), _SCORES, _PROBS):
+            estimate = DifficultyEstimate("q", score, prob, SignalKind.ANLL)
+            result = ExperimentResult(text or "q", text, correct, 3, estimate, text)
+            assert result_json_line(result) == _reference_line(result)
+            lines += 1
+        assert lines == len(_STRINGS) * 3 * len(_SCORES) * len(_PROBS)
+
+    @pytest.mark.parametrize("value", [
+        float("nan"), float("inf"), -float("inf"), 10**30, -5, True, None, ["a", 1], {"k": "v"}, "\udc80",
+    ])
+    def test_matches_json_dumps_on_any_value_json_accepts(self, value):
+        result = SimpleNamespace(question_id=value, policy=value, final_answer=value, correct=value,
+                                 samples_used=value, difficulty=SimpleNamespace(score=value, prob=value))
+        assert result_json_line(result) == _reference_line(result)

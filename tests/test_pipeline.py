@@ -90,6 +90,70 @@ class TestParseAnswer:
     def test_big_integers_exact(self):
         assert canonicalize_answer("12345678901234567890") == "12345678901234567890"
 
+    @pytest.mark.parametrize("text, expected", [
+        ("\\boxed{a}b}", "a"),
+        ("\\boxed{ 1,234. }", "1234"),
+        ("\\boxed{\\frac{1}{2}}", "\\frac{1}{2}"),
+        ("\\boxed{{}}", "{}"),
+        ("3 and \\boxed{x", "3"),
+        ("\\boxed{\\frac{1}{2}", "2"),
+        ("\\boxed{ }", None),
+        ("\\boxed{}", None),
+    ])
+    def test_boxed_braces(self, text, expected):
+        assert parse_answer(text, TaskKind.OPEN_MATH) == expected
+
+
+#: Texts whose answers a shared memo must not change: nested, unbalanced and
+#: repeated boxes, blank boxes, and numbers with commas, decimals and signs.
+_MEMO_TEXTS = [
+    "so \\boxed{42}.", "\\boxed{42}", "\\boxed{ 42. }", "\\boxed{42.0}", "\\boxed{1} then \\boxed{2}",
+    "\\boxed{\\frac{1}{2}}", "\\boxed{\\frac{1}{2}", "\\boxed{a}b}", "\\boxed{ }", "\\boxed{}", "\\boxed{,}",
+    "total 1,234 apples", "\\boxed{1,234}", "-7 degrees", "\\boxed{-7.50}", "0.50 or 2.5", "12345678901234567890",
+    "\\boxed{answer!}", "no number here", "", "pick (B) not c", "\\boxed{B}", "\\boxed{b}",
+]
+
+
+class TestParseAnswerMemo:
+    @pytest.mark.parametrize("task_kind", list(TaskKind))
+    def test_shared_memo_changes_no_answer(self, task_kind):
+        memo = {}
+        for _ in range(2):  # the second pass finds every span in the memo
+            for text in _MEMO_TEXTS:
+                assert parse_answer(text, task_kind, memo) == parse_answer(text, task_kind)
+        if task_kind == TaskKind.MULTIPLE_CHOICE:
+            assert memo == {}
+        else:
+            assert memo == {span: canonicalize_answer(span) for span in memo}
+            assert {"42", " 42. ", "1,234", "", " "} <= set(memo)
+
+    def test_gold_answer_through_the_memo(self):
+        memo = {}
+        assert parse_answer("\\boxed{1,234}", TaskKind.OPEN_MATH, memo) == "1234"
+        assert pipeline._canonical("1,234", memo) == "1234"
+        assert pipeline._canonical(" 7. ", memo) == canonicalize_answer(" 7. ") == "7"
+        assert memo == {"1,234": "1234", " 7. ": "7"}
+        # a span found in the memo is not canonicalized again
+        memo["1,234"] = "sentinel"
+        assert pipeline._canonical("1,234", memo) == "sentinel"
+        assert parse_answer("\\boxed{1,234}", TaskKind.OPEN_MATH, memo) == "sentinel"
+
+    def test_run_grades_gold_answers_through_the_memo(self, monkeypatch):
+        canonicalized = []
+        original = pipeline.canonicalize_answer
+
+        def counting(raw):
+            canonicalized.append(raw)
+            return original(raw)
+
+        monkeypatch.setattr(pipeline, "canonicalize_answer", counting)
+        probs = [0.9, 0.8, 0.7, 0.95]
+        world, backend, budget = sim_setup(probs, n_per_question=4)
+        results = run_two_phase(world.questions, backend, PipelineConfig(budget=budget))
+        assert all(r.correct is not None for r in results)
+        assert len(canonicalized) == len(set(canonicalized))
+        assert {q.gold_answer for q in world.questions} <= set(canonicalized)
+
 
 class TestMajorityVote:
     def test_strict_majority(self):
@@ -345,9 +409,9 @@ class TestRunTwoPhase:
         parsed = []
         original = pipeline.parse_answer
 
-        def counting(text, task_kind):
+        def counting(text, task_kind, memo=None):
             parsed.append(text)
-            return original(text, task_kind)
+            return original(text, task_kind, memo)
 
         monkeypatch.setattr(pipeline, "parse_answer", counting)
         probs = list(np.random.default_rng(2).beta(2, 2, size=100))
