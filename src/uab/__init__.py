@@ -16,7 +16,6 @@ from .allocation import (
     greedy_allocate,
     regret_bound_check,
     sensitivity_gap,
-    uniform_allocation,
     verify_kkt,
 )
 from .backends import (
@@ -33,7 +32,6 @@ from .backends import (
     TwoPointLaw,
     WorldConfig,
     generate_wave,
-    judge_classify,
     judge_classify_all,
 )
 from .core import (

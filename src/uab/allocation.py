@@ -319,9 +319,3 @@ def apply_threshold_exits(
     inner = _greedy({qid: probs[qid] for qid in eligible}, budget)
     extras = {qid: inner.extras.get(qid, 0) for qid in probs}
     return set(eligible), AllocationVector(extras, budget_effective), budget_effective - budget
-
-
-def uniform_allocation(probs: Mapping[str, float], budget_effective: int) -> AllocationVector:
-    """Spread the budget evenly (:func:`split_evenly`) in input order."""
-    ids = list(_instance(probs, budget_effective))
-    return AllocationVector(split_evenly(ids, budget_effective), budget_effective)

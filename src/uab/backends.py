@@ -155,11 +155,12 @@ class SimulatedWorld:
     def __init__(self, config: WorldConfig):
         self.config = config
         rng = np.random.default_rng(config.rng_seed)
-        p_star = self._draw_probs(config, rng)
+        #: Each question's success probability, in question order; read-only,
+        #: as every backend built over the world shares it.
+        self.p_star: np.ndarray = self._draw_probs(config, rng)
+        self.p_star.setflags(write=False)
 
         self.questions: List[QuestionRecord] = []
-        self.p_star: Dict[str, float] = {}
-        self.gold: Dict[str, str] = {}
         self.index: Dict[str, int] = {}
         for i in range(config.m_questions):
             qid = f"q{i:05d}"
@@ -169,12 +170,9 @@ class SimulatedWorld:
                 f"Problem {i}: evaluate the expression and give the final answer."
                 + " Show work." * (i % 5)
             )
-            gold = str(100 + i)
             self.questions.append(
-                QuestionRecord(id=qid, prompt=prompt, gold_answer=gold, task_kind=TaskKind.OPEN_MATH)
+                QuestionRecord(id=qid, prompt=prompt, gold_answer=str(100 + i), task_kind=TaskKind.OPEN_MATH)
             )
-            self.p_star[qid] = float(p_star[i])
-            self.gold[qid] = gold
             self.index[qid] = i
 
     @staticmethod
@@ -191,7 +189,7 @@ class SimulatedWorld:
             return np.asarray(law.probs, dtype=float)
         if isinstance(law, TwoPointLaw):
             lows = rng.random(m) < law.frac_lo
-            return np.where(lows, law.p_lo, law.p_hi)
+            return np.where(lows, float(law.p_lo), float(law.p_hi))
         raise ValidationError(f"unknown probability law {law!r}")
 
 
@@ -199,15 +197,15 @@ class _RequestFields(NamedTuple):
     question_id: str
     prompt: str
     sample_count: int
-    sampling_temperature: float = DEFAULT_SAMPLING_TEMPERATURE
-    max_tokens: int = DEFAULT_MAX_TOKENS
-    want_logprobs: bool = True
+    sampling_temperature: float
+    max_tokens: int
+    want_logprobs: bool
     #: Index of the first sample in this request within the question's overall
     #: sample numbering; keeps cache keys and simulator streams per-sample.
-    first_sample_index: int = 0
+    first_sample_index: int
     #: Asks for an easy/hard label instead of answer samples; only judge
     #: requests set it. Not part of the HTTP payload or the cache key.
-    judge: bool = False
+    judge: bool
 
 
 class BackendRequest(_RequestFields):
@@ -348,14 +346,13 @@ class SimulatedBackend:
         self._stream_state = self._bits.state
         cfg = world.config
         m = cfg.m_questions
-        self._p_star = np.array([world.p_star[q.id] for q in world.questions])
         table = _uniform(self._blocks(_LANE_QUESTION, 0, 0, m))
         # A sample is correct when word 0 of its block is below its question's
         # threshold: p*, or, for a question in shared mode, 1.0 when the shared
         # outcome is a success and 0.0 when not, as every word reads as [0, 1).
         shared_mode = table[:, 0] < cfg.correlation_rho
-        shared_outcome = table[:, 1] < self._p_star
-        self._threshold = np.where(shared_mode, shared_outcome.astype(float), self._p_star)
+        shared_outcome = table[:, 1] < self.world.p_star
+        self._threshold = np.where(shared_mode, shared_outcome.astype(float), self.world.p_star)
         #: Noiseless samples at ``question * (n_distractors + 1) + answer``,
         #: and noiseless signals by question, each built on first use.
         self._outputs: List[Optional[SampleOutput]] = [None] * (m * (cfg.n_distractors + 1))
@@ -426,7 +423,8 @@ class SimulatedBackend:
         question, answer = divmod(key, cfg.n_distractors + 1)
         signal = self._signals[question]
         if signal is None:
-            signal = self._signals[question] = _sim_signal(float(self._p_star[question]), cfg.world_temperature)
+            p = float(self.world.p_star[question])
+            signal = self._signals[question] = _sim_signal(p, cfg.world_temperature)
         output = self._outputs[key] = self._output(question, answer, signal)
         return output
 
@@ -444,7 +442,7 @@ class SimulatedBackend:
                 outputs[base + answers[offset]] or self._shared_output(base + answers[offset])
                 for answers, _ in drawn
             ]
-        p = float(self._p_star[question])
+        p = float(self.world.p_star[question])
         return [
             self._output(
                 question, answers[offset], _sim_signal(p + _noise(sigma, *noise[offset]), cfg.world_temperature)
@@ -457,7 +455,7 @@ class SimulatedBackend:
 
     def _judge_response(self, qid: str) -> str:
         question = self._index(qid)
-        perceived = self.world.p_star[qid]
+        perceived = float(self.world.p_star[question])
         sigma = self.world.config.signal_noise_sigma
         if sigma:
             chunk, offset = divmod(question, _CHUNK)
@@ -1007,18 +1005,15 @@ def _judge_request(question: QuestionRecord) -> BackendRequest:
     )
 
 
-def judge_classify(question: QuestionRecord, backend) -> JudgeLabel:
-    """Ask the backend to rate one question easy or hard.
-
-    Parses the first easy/hard token in the reply; anything else conservatively
-    counts as hard, which routes more budget toward the question.
-    """
-    return _judge_label(backend.generate(_judge_request(question)))
-
-
 def judge_classify_all(questions: Sequence[QuestionRecord], backend) -> List[JudgeLabel]:
-    """:func:`judge_classify` for every question, sent as one wave; labels come
-    back in question order. A request that fails raises its :class:`BackendError`."""
+    """Ask the backend to rate each question easy or hard, in one wave; labels
+    come back in question order. A request that fails raises its
+    :class:`BackendError`.
+
+    Each label is the first easy/hard token in the reply; anything else
+    conservatively counts as hard, which routes more budget toward the
+    question.
+    """
     labels = []
     for _request, outcome in generate_wave(backend, map(_judge_request, questions)):
         if isinstance(outcome, BackendError):

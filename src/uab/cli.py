@@ -41,8 +41,7 @@ def _add_shared_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--policy", choices=[p.value for p in Policy])
     parser.add_argument("--n", type=int, help="samples per question N")
     parser.add_argument("--temperature", type=float, help="allocator temperature T")
-    parser.add_argument("--signal", choices=[s.value for s in SignalKind if s is not SignalKind.EXTERNAL],
-                        help="difficulty signal kind")
+    parser.add_argument("--signal", choices=[s.value for s in SignalKind], help="difficulty signal kind")
     parser.add_argument("--exit", dest="exit_kind", choices=[k.value for k in ExitKind])
     parser.add_argument("--theta", type=float, help="threshold-exit theta")
     parser.add_argument("--exit-mode", choices=[m.value for m in ExitMode])
@@ -106,11 +105,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _merged_settings(args)
     cfg["backend.kind"] = "sim"
     policies = [p.strip() for p in args.policies.split(",") if p.strip()]
+    if not policies:
+        raise ValidationError("--policies must name at least one policy")
+    # every policy's config is checked before the first run writes anything
+    experiments = [build_experiment_config({**cfg, "pipeline.policy": policy}, os.environ) for policy in policies]
     status = 0
-    for policy in policies:
-        cfg_policy = dict(cfg)
-        cfg_policy["pipeline.policy"] = policy
-        experiment = build_experiment_config(cfg_policy, os.environ)
+    for experiment in experiments:
         try:
             report = run_experiment(experiment)
         except PartialRunError as exc:

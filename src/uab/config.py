@@ -239,10 +239,6 @@ def build_experiment_config(cfg: Mapping[str, str], environ: Mapping[str, str]) 
         raise ValidationError(f"backend.kind must be sim or http, got {backend_kind!r}")
 
     signal = _get(cfg, "pipeline.signal", SignalKind)
-    if signal == SignalKind.EXTERNAL:
-        raise ValidationError(
-            "pipeline.signal = external: only the library's run_two_phase(..., external_probs=...) takes them"
-        )
     k = 2 if signal == SignalKind.VOTE_ENTROPY else 1
     if cfg.get("pipeline.k", ""):
         k = _get(cfg, "pipeline.k", int)

@@ -40,8 +40,6 @@ class SignalKind(str, Enum):
     MAX_TOKEN_NLL = "max_token_nll"
     VCS = "vcs"
     VOTE_ENTROPY = "vote_entropy"
-    LENGTH = "length"
-    EXTERNAL = "external"
 
 
 #: Signals computed from per-token log-probabilities of a generation.
@@ -65,9 +63,9 @@ class FinishReason(str, Enum):
 class _QuestionFields(NamedTuple):
     id: str
     prompt: str
-    gold_answer: Optional[str] = None
-    task_kind: TaskKind = TaskKind.OPEN_MATH
-    length_chars: int = -1
+    gold_answer: Optional[str]
+    task_kind: TaskKind
+    length_chars: int
 
 
 class QuestionRecord(_QuestionFields):

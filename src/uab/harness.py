@@ -407,19 +407,18 @@ def _check_simulator_inversion(rng: np.random.Generator) -> CheckResult:
     backend = SimulatedBackend(world, run_seed=7)
     worst = 0.0
     count = 0
-    for q in world.questions:
+    for q, p in zip(world.questions, world.p_star.tolist()):
         for s in range(3):
             out = backend.sample_outcome(q.id, s)
             recovered = score_to_prob(anll(out.token_logprobs), world.config.world_temperature)
-            worst = max(worst, abs(recovered - world.p_star[q.id]))
+            worst = max(worst, abs(recovered - p))
             count += 1
     passed = worst <= 1e-9
 
     corr_world = SimulatedWorld(WorldConfig(m_questions=20, correlation_rho=1.0, rng_seed=3))
     corr_backend = SimulatedBackend(corr_world, run_seed=1)
     for q in corr_world.questions:
-        gold = corr_world.gold[q.id]
-        outcomes = {gold in corr_backend.sample_outcome(q.id, s).text for s in range(6)}
+        outcomes = {q.gold_answer in corr_backend.sample_outcome(q.id, s).text for s in range(6)}
         count += 6
         if len(outcomes) != 1:
             passed = False

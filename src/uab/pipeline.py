@@ -239,36 +239,17 @@ def _length_scores(questions: Sequence[QuestionRecord]) -> Dict[str, float]:
 def estimate_difficulties(
     questions: Sequence[QuestionRecord],
     phase1_samples: Mapping[str, Sequence[SampleOutput]],
+    phase1_answers: Mapping[str, Sequence[Optional[str]]],
     signal_kind: SignalKind,
     temperature: float,
-    external_probs: Optional[Mapping[str, float]] = None,
-    phase1_answers: Optional[Mapping[str, Sequence[Optional[str]]]] = None,
 ) -> Dict[str, DifficultyEstimate]:
     """Turn Phase-1 outputs into per-question success-probability estimates.
 
     ``phase1_answers`` holds, by question, the answers of ``phase1_samples``
-    as :func:`_answer` gives them; vote entropy needs them and reads them there
-    rather than parse the samples again.
+    as :func:`_answer` gives them; vote entropy reads them there rather than
+    parse the samples again.
     """
     estimates: Dict[str, DifficultyEstimate] = {}
-    if signal_kind == SignalKind.EXTERNAL:
-        if external_probs is None:
-            raise ValidationError("external signal requires externally supplied probabilities")
-        for q in questions:
-            if q.id not in external_probs:
-                raise ValidationError(f"no external probability for question {q.id!r}")
-            p = float(external_probs[q.id])
-            # keep the score finite even for p=0 by flooring before the log
-            score = signals.prob_to_score(max(p, 1e-300), temperature)
-            estimates[q.id] = DifficultyEstimate(q.id, score, p, signal_kind)
-        return estimates
-
-    if signal_kind == SignalKind.LENGTH:
-        for qid, score in _length_scores(questions).items():
-            prob = signals.score_to_prob(score, temperature)
-            estimates[qid] = DifficultyEstimate(qid, score, prob, signal_kind)
-        return estimates
-
     for q in questions:
         samples = [s for s in phase1_samples.get(q.id, []) if s.finish_reason != FinishReason.ERROR]
         if signal_kind in LOGPROB_SIGNALS:
@@ -294,8 +275,6 @@ def estimate_difficulties(
                 q.id, signals.prob_to_score(prob, temperature), prob, signal_kind
             )
         elif signal_kind == SignalKind.VOTE_ENTROPY:
-            if phase1_answers is None:
-                raise ValidationError("vote entropy requires the Phase-1 answers")
             answers = [a for a in phase1_answers[q.id] if a is not None]
             if not answers:
                 estimates[q.id] = _fallback_estimate(q.id, signal_kind, temperature,
@@ -373,7 +352,6 @@ def run_two_phase(
     questions: Sequence[QuestionRecord],
     backend,
     config: PipelineConfig,
-    external_probs: Optional[Mapping[str, float]] = None,
 ) -> List[ExperimentResult]:
     """Run the full two-phase pipeline and return one result per question.
 
@@ -423,9 +401,7 @@ def run_two_phase(
     memo: Dict[str, str] = {}
     answers = {q.id: [_answer(s, q.task_kind, memo) for s in samples[q.id]] for q in questions}
 
-    estimates = estimate_difficulties(
-        questions, samples, config.signal_kind, config.budget.temperature, external_probs, answers
-    )
+    estimates = estimate_difficulties(questions, samples, answers, config.signal_kind, config.budget.temperature)
     probs = {qid: est.prob for qid, est in estimates.items()}
     # Phase-1 samples are not read past the estimate; freeing them before
     # Phase 2 is drawn lowers a run's peak memory

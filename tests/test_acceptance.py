@@ -20,11 +20,11 @@ from uab.allocation import (
     greedy_allocate,
     regret_bound_check,
     sensitivity_gap,
-    uniform_allocation,
+    split_evenly,
     verify_kkt,
 )
 from uab.backends import BackendRequest, BetaLaw, FixedProbs, SimulatedBackend, SimulatedWorld, WorldConfig
-from uab.core import BudgetSpec, TaskKind, coverage_objective, marginal_gain
+from uab.core import AllocationVector, BudgetSpec, TaskKind, coverage_objective, marginal_gain
 from uab.curves import min_budget_curve
 from uab.harness import ExperimentConfig, run_experiment
 from uab.pipeline import PipelineConfig, Policy, parse_answer, run_two_phase
@@ -53,10 +53,11 @@ def dominance_sweep():
                     correlation_rho=0.0, rng_seed=424242)
     )
     budget = BudgetSpec(4, M_SIM, temperature=0.2)
-    p_star = world.p_star
+    p_star = {q.id: p for q, p in zip(world.questions, world.p_star.tolist())}
+    uniform = AllocationVector(split_evenly(list(p_star), budget.effective), budget.effective)
     predicted = {
         "uab": coverage_objective(greedy_allocate(p_star, budget.effective), p_star) / M_SIM,
-        "uniform": coverage_objective(uniform_allocation(p_star, budget.effective), p_star) / M_SIM,
+        "uniform": coverage_objective(uniform, p_star) / M_SIM,
     }
 
     realized = {"uab": [], "uniform": []}
@@ -73,7 +74,7 @@ def dominance_sweep():
             audit = SimulatedBackend(world, run_seed=seed)
             hits = 0
             for r in results:
-                gold = world.gold[r.question_id]
+                gold = world.questions[world.index[r.question_id]].gold_answer
                 if any(
                     parse_answer(audit.sample_outcome(r.question_id, s).text, TaskKind.OPEN_MATH)
                     == gold
@@ -189,7 +190,7 @@ def test_simulator_fidelity():
             out = backend.sample_outcome(q.id, s)
             anll_value = sum(-lp for lp in out.token_logprobs) / len(out.token_logprobs)
             recovered = score_to_prob(anll_value, world.config.world_temperature)
-            worst = max(worst, abs(recovered - world.p_star[q.id]))
+            worst = max(worst, abs(recovered - world.p_star[world.index[q.id]]))
     inversion_ok = worst <= 1e-9
 
     # independence at rho=0: chi-square on consecutive sample pairs
@@ -197,7 +198,7 @@ def test_simulator_fidelity():
         WorldConfig(m_questions=1, prob_law=FixedProbs((0.5,)), correlation_rho=0.0, rng_seed=23)
     )
     ind_backend = SimulatedBackend(ind_world, run_seed=1)
-    gold = ind_world.gold["q00000"]
+    gold = ind_world.questions[0].gold_answer
     pairs = 50_000  # 100k samples
     samples = ind_backend.generate(BackendRequest("q00000", "p", 2 * pairs)).samples
     table = np.zeros((2, 2))
@@ -214,8 +215,7 @@ def test_simulator_fidelity():
     corr_backend = SimulatedBackend(corr_world, run_seed=2)
     agree_ok = True
     for q in corr_world.questions:
-        g = corr_world.gold[q.id]
-        outcomes = {g in corr_backend.sample_outcome(q.id, s).text for s in range(10)}
+        outcomes = {q.gold_answer in corr_backend.sample_outcome(q.id, s).text for s in range(10)}
         agree_ok = agree_ok and len(outcomes) == 1
 
     verdict(

@@ -14,7 +14,6 @@ from uab.allocation import (
     regret_bound_check,
     sensitivity_gap,
     split_evenly,
-    uniform_allocation,
     verify_kkt,
 )
 from uab.core import AllocationVector, ValidationError, coverage_objective, marginal_gain
@@ -77,7 +76,7 @@ class TestGreedyAllocate:
 
     def test_empty_questions_with_budget_errors(self):
         # one instance check, shared by every allocator
-        for allocate in (greedy_allocate, dp_allocate_exact, uniform_allocation):
+        for allocate in (greedy_allocate, dp_allocate_exact):
             with pytest.raises(ValidationError, match="zero questions"):
                 allocate({}, 2)
             with pytest.raises(ValidationError, match=">= 0"):
@@ -143,7 +142,7 @@ class TestGreedyAllocate:
     def test_probability_checks_shared_by_allocators(self):
         for bad in (1.5, -0.1, float("nan"), "0.5", None):
             probs = {"q1": 0.5, "q2": bad}
-            for allocate in (greedy_allocate, dp_allocate_exact, uniform_allocation):
+            for allocate in (greedy_allocate, dp_allocate_exact):
                 with pytest.raises(ValidationError, match="probs\\['q2'\\]"):
                     allocate(probs, 2)
             with pytest.raises(ValidationError, match="probs\\['q2'\\]"):
@@ -158,7 +157,7 @@ class TestGreedyAllocate:
             b = m * int(rng.integers(0, 5))
             probs = {f"q{i}": float(rng.random()) for i in range(m)}
             jg = coverage_objective(greedy_allocate(probs, b), probs)
-            ju = coverage_objective(uniform_allocation(probs, b), probs)
+            ju = coverage_objective(AllocationVector(split_evenly(list(probs), b), b), probs)
             assert jg >= ju - 1e-12
 
 

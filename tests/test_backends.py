@@ -36,7 +36,6 @@ from uab.backends import (
     UnknownQuestionError,
     WorldConfig,
     generate_wave,
-    judge_classify,
     judge_classify_all,
 )
 from uab.core import BudgetSpec, FinishReason, QuestionRecord, SignalKind, ValidationError
@@ -62,7 +61,16 @@ def make_world(m=6, sigma=0.0, rho=0.0, seed=11, probs=None, **kw):
 class TestSimulatedWorld:
     def test_fixed_probs_respected(self):
         world = make_world(m=3, probs=[0.9, 0.5, 0.1])
-        assert [world.p_star[q.id] for q in world.questions] == [0.9, 0.5, 0.1]
+        assert [world.p_star[world.index[q.id]] for q in world.questions] == [0.9, 0.5, 0.1]
+
+    @pytest.mark.parametrize("law", [BetaLaw(2, 2), FixedProbs((0.9, 0.5, 0.1)), TwoPointLaw(0, 1, 0.5)])
+    def test_p_star_is_a_read_only_array_in_question_order(self, law):
+        world = SimulatedWorld(WorldConfig(m_questions=3, prob_law=law, rng_seed=4))
+        assert world.p_star.dtype == np.float64
+        assert world.p_star.shape == (len(world.questions),)
+        assert [world.index[q.id] for q in world.questions] == [0, 1, 2]
+        with pytest.raises(ValueError, match="read-only"):
+            world.p_star[0] = 0.5
 
     def test_fixed_probs_length_mismatch(self):
         with pytest.raises(ValidationError):
@@ -72,7 +80,7 @@ class TestSimulatedWorld:
         world = SimulatedWorld(
             WorldConfig(m_questions=200, prob_law=TwoPointLaw(0.1, 0.8, 0.5), rng_seed=0)
         )
-        values = set(world.p_star.values())
+        values = set(world.p_star.tolist())
         assert values <= {0.1, 0.8}
         assert len(values) == 2
 
@@ -89,7 +97,7 @@ class TestSimulatedWorld:
         assert len(set(ids)) == 10
         for q in world.questions:
             assert q.length_chars == len(q.prompt)
-            assert q.gold_answer == world.gold[q.id]
+            assert q.gold_answer == str(100 + world.index[q.id])
 
 
 class TestSimulatedBackend:
@@ -98,13 +106,13 @@ class TestSimulatedBackend:
         backend = SimulatedBackend(world, run_seed=0)
         for s in range(20):
             out = backend.sample_outcome("q00000", s)
-            assert world.gold["q00000"] in out.text
+            assert world.questions[0].gold_answer in out.text
 
     def test_empirical_rate_matches_p_star(self):
         world = make_world(m=1, probs=[0.5])
         backend = SimulatedBackend(world, run_seed=1)
         n = 20000
-        gold = world.gold["q00000"]
+        gold = world.questions[0].gold_answer
         hits = sum(gold in out.text for out in backend.generate(BackendRequest("q00000", "p", n)).samples)
         sigma = 3 * math.sqrt(0.25 / n)
         assert abs(hits / n - 0.5) < sigma
@@ -116,21 +124,20 @@ class TestSimulatedBackend:
             for s in range(4):
                 out = backend.sample_outcome(q.id, s)
                 recovered = score_to_prob(anll(out.token_logprobs), world.config.world_temperature)
-                assert abs(recovered - world.p_star[q.id]) <= 1e-9
+                assert abs(recovered - world.p_star[world.index[q.id]]) <= 1e-9
 
     def test_full_correlation_makes_samples_agree(self):
         # all samples of a question are correct together or incorrect together
         world = make_world(m=12, rho=1.0, probs=None, seed=5)
         backend = SimulatedBackend(world, run_seed=3)
         for q in world.questions:
-            gold = world.gold[q.id]
-            outcomes = {gold in backend.sample_outcome(q.id, s).text for s in range(8)}
+            outcomes = {q.gold_answer in backend.sample_outcome(q.id, s).text for s in range(8)}
             assert len(outcomes) == 1
 
     def test_zero_correlation_independence_chi_square(self):
         world = make_world(m=1, probs=[0.5], rho=0.0)
         backend = SimulatedBackend(world, run_seed=4)
-        gold = world.gold["q00000"]
+        gold = world.questions[0].gold_answer
         n_pairs = 50000
         samples = backend.generate(BackendRequest("q00000", "p", 2 * n_pairs)).samples
         table = np.zeros((2, 2))
@@ -166,19 +173,20 @@ class TestSimulatedBackend:
             return cfg.signal_noise_sigma * math.sqrt(-2.0 * math.log1p(-u)) * math.cos(2.0 * math.pi * v)
 
         def defined(qid, s):
-            p = world.p_star[qid]
+            p = float(world.p_star[world.index[qid]])
             mode = stream(qid, 0, 0)
             shared, shared_outcome = mode.random() < cfg.correlation_rho, mode.random() < p
             u_correct, u_distractor, u, v = stream(qid, 1, s).random(4).tolist()
             perceived = p + noise(u, v)
             correct = shared_outcome if shared else u_correct < p
-            answer = world.gold[qid] if correct else f"wrong_{int(u_distractor * cfg.n_distractors)}"
+            gold = world.questions[world.index[qid]].gold_answer
+            answer = gold if correct else f"wrong_{int(u_distractor * cfg.n_distractors)}"
             confidence = min(10, max(1, int(round(10 * min(max(perceived, 0.0), 1.0)))))
             logprob = cfg.world_temperature * math.log(min(max(perceived, 1e-9), 1.0))
             return f"The final answer is \\boxed{{{answer}}}. Confidence: {confidence}", (logprob,) * 8
 
         def defined_label(qid):
-            perceived = world.p_star[qid] + noise(*stream(qid, 2, 0).random(2).tolist())
+            perceived = float(world.p_star[world.index[qid]]) + noise(*stream(qid, 2, 0).random(2).tolist())
             return JudgeLabel.EASY if perceived > 0.5 else JudgeLabel.HARD
 
         pairs = [(q.id, s) for q in world.questions for s in range(6)]
@@ -186,7 +194,7 @@ class TestSimulatedBackend:
         expected = {pair: serial.sample_outcome(*pair) for pair in pairs}
         for pair, out in expected.items():
             assert (out.text, out.token_logprobs) == defined(*pair)
-        assert [judge_classify(q, serial) for q in world.questions] == [
+        assert judge_classify_all(world.questions, serial) == [
             defined_label(q.id) for q in world.questions
         ]
 
@@ -195,7 +203,7 @@ class TestSimulatedBackend:
         interleaved = SimulatedBackend(world, run_seed)
         for t, (qid, s) in enumerate(pairs):
             if t % 5 == 0:
-                judge_classify(world.questions[t % 6], interleaved)
+                judge_classify_all([world.questions[t % 6]], interleaved)
             resp = interleaved.generate(BackendRequest(qid, "prompt", 1, first_sample_index=s))
             assert resp.samples == [expected[qid, s]]
 
@@ -374,7 +382,7 @@ class TestJudge:
     def test_sim_judge_labels_follow_difficulty(self):
         world = make_world(m=2, probs=[0.9, 0.1])
         backend = SimulatedBackend(world, run_seed=0)
-        labels = [judge_classify(q, backend) for q in world.questions]
+        labels = judge_classify_all(world.questions, backend)
         assert labels == [JudgeLabel.EASY, JudgeLabel.HARD]
         assert backend.judge_calls == 2
         assert backend.generation_samples == 0
@@ -399,7 +407,7 @@ class TestJudge:
         url, state = stub_server
         cache = ResponseCache(tmp_path)
         q = QuestionRecord(id="j1", prompt="Is 7 prime?")
-        judge_classify(q, _http_backend(url, cache=cache))
+        judge_classify_all([q], _http_backend(url, cache=cache))
         _path, body = state.requests[-1]
         assert set(body) == {"model", "messages", "n", "temperature", "max_tokens"}
         unmarked = BackendRequest(
@@ -422,10 +430,10 @@ class TestJudge:
         from uab.core import QuestionRecord
 
         q = QuestionRecord(id="q1", prompt="??")
-        assert judge_classify(q, CannedBackend("easy")) == JudgeLabel.EASY
-        assert judge_classify(q, CannedBackend("Hard.")) == JudgeLabel.HARD
-        assert judge_classify(q, CannedBackend("I think moderately difficult")) == JudgeLabel.HARD
-        assert judge_classify(q, CannedBackend("Easy, definitely")) == JudgeLabel.EASY
+        assert judge_classify_all([q], CannedBackend("easy"))[0] == JudgeLabel.EASY
+        assert judge_classify_all([q], CannedBackend("Hard."))[0] == JudgeLabel.HARD
+        assert judge_classify_all([q], CannedBackend("I think moderately difficult"))[0] == JudgeLabel.HARD
+        assert judge_classify_all([q], CannedBackend("Easy, definitely"))[0] == JudgeLabel.EASY
 
 
 class TestResponseCache:

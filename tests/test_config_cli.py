@@ -187,6 +187,20 @@ class TestCli:
             rows = list(csv.DictReader(fh))
         assert [r["policy"] for r in rows] == ["uab", "uniform"]
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--policies", "uab,bogus"], "pipeline.policy"),
+        (["--signal", "vote_entropy", "--policies", "uab,uniform"], "policy uniform requires K = 1"),
+        (["--policies", ","], "--policies"),
+    ], ids=["unknown_policy", "policy_rejects_config", "no_policy"])
+    def test_simulate_rejects_every_policy_before_any_run(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "sim"
+        rc = self.run_cli("simulate", "--n", "4", "--seed", "0", "--out", str(out), *argv)
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "error: " in captured.err and message in captured.err
+        assert "aggregate rows" not in captured.out
+        assert not out.exists()
+
     def test_invert(self, tmp_path, capsys):
         points = tmp_path / "points.csv"
         points.write_text("n,accuracy\n1,40\n2,44\n4,48\n8,50\n")
@@ -223,6 +237,8 @@ class TestCli:
         ({}, ["--signal", "bogus"]),
         ({"UAB_PIPELINE_SAMPLING_TEMPERATURE": "nan"}, []),
         ({"UAB_PIPELINE_MAX_TOKENS": "0"}, []),
+        ({"UAB_PIPELINE_SIGNAL": "length"}, []),
+        ({}, ["--signal", "length"]),
     ])
     def test_config_errors_exit_2_with_an_error_line(self, tmp_path, capsys, monkeypatch, env, argv):
         for name, value in env.items():

@@ -181,10 +181,10 @@ class TestRunExperiment:
 
         real = harness_mod.run_two_phase
 
-        def flaky(questions, backend, cfg, external_probs=None):
+        def flaky(questions, backend, cfg):
             if cfg.rng_seed == 1:
                 raise RuntimeError("backend fell over")
-            return real(questions, backend, cfg, external_probs)
+            return real(questions, backend, cfg)
 
         monkeypatch.setattr(harness_mod, "run_two_phase", flaky)
         config = make_config(tmp_path, seeds=(0, 1, 2))
