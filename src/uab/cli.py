@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import os
@@ -17,10 +18,19 @@ import sys
 from pathlib import Path
 from typing import Dict, List, Optional
 
-from .allocation import ExitKind, ExitMode, ThresholdExitConfig, apply_threshold_exits, verify_kkt
+from .allocation import ExitKind, ExitMode, apply_threshold_exits, verify_kkt
 from .backends import judge_classify_all
-from .config import build_experiment_config, env_overrides, json_id, load_config_file, merge_settings
-from .core import SignalKind, ValidationError, coverage_objective
+from .config import (
+    build_experiment_config,
+    env_overrides,
+    exit_config_from_settings,
+    get_setting,
+    jsonl_rows,
+    load_config_file,
+    merge_settings,
+    read_input_text,
+)
+from .core import BudgetSpec, SignalKind, ValidationError, coverage_objective
 from .curves import min_budget_curve
 from .harness import (
     MetricReport,
@@ -34,44 +44,27 @@ from .pipeline import Policy
 from .signals import score_to_prob
 
 
-def _add_shared_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", type=Path, help="flat key-value config file")
-    parser.add_argument("--seed", type=int, action="append", dest="seeds",
-                        help="experiment seed (repeatable)")
-    parser.add_argument("--policy", choices=[p.value for p in Policy])
-    parser.add_argument("--n", type=int, help="samples per question N")
-    parser.add_argument("--temperature", type=float, help="allocator temperature T")
-    parser.add_argument("--signal", choices=[s.value for s in SignalKind], help="difficulty signal kind")
-    parser.add_argument("--exit", dest="exit_kind", choices=[k.value for k in ExitKind])
-    parser.add_argument("--theta", type=float, help="threshold-exit theta")
-    parser.add_argument("--exit-mode", choices=[m.value for m in ExitMode])
-    parser.add_argument("--backend", choices=["sim", "http"])
-    parser.add_argument("--out", type=Path, help="output directory")
-
-
 def _cli_overrides(args: argparse.Namespace) -> Dict[str, str]:
-    mapping = {
-        "pipeline.policy": getattr(args, "policy", None),
-        "budget.n": getattr(args, "n", None),
-        "budget.temperature": getattr(args, "temperature", None),
-        "pipeline.signal": getattr(args, "signal", None),
-        "exit.kind": getattr(args, "exit_kind", None),
-        "exit.theta": getattr(args, "theta", None),
-        "exit.mode": getattr(args, "exit_mode", None),
-        "backend.kind": getattr(args, "backend", None),
-        "run.out": getattr(args, "out", None),
-        "run.questions": getattr(args, "questions", None),
+    """The config keys set by flags: the dotted dests that were given."""
+    return {
+        key: ",".join(map(str, value)) if isinstance(value, list) else str(value)
+        for key, value in vars(args).items()
+        if "." in key and value is not None
     }
-    out = {k: str(v) for k, v in mapping.items() if v is not None}
-    seeds = getattr(args, "seeds", None)
-    if seeds:
-        out["run.seeds"] = ",".join(str(s) for s in seeds)
-    return out
 
 
 def _merged_settings(args: argparse.Namespace) -> Dict[str, str]:
-    file_cfg = load_config_file(args.config) if getattr(args, "config", None) else None
+    file_cfg = load_config_file(args.config) if args.config else None
     return merge_settings(file_cfg, env_overrides(os.environ), _cli_overrides(args))
+
+
+def _write_lines(lines: List[str], out_file: Optional[Path]) -> None:
+    """Write ``lines`` to ``out_file``, or to stdout when it is None."""
+    if out_file:
+        out_file.parent.mkdir(parents=True, exist_ok=True)
+        out_file.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    else:
+        print("\n".join(lines))
 
 
 def _print_report(report: MetricReport) -> None:
@@ -103,7 +96,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _merged_settings(args)
-    cfg["backend.kind"] = "sim"
+    if cfg["backend.kind"] != "sim":
+        raise ValidationError(
+            f"simulate runs the simulated world only, got backend.kind={cfg['backend.kind']!r}"
+        )
     policies = [p.strip() for p in args.policies.split(",") if p.strip()]
     if not policies:
         raise ValidationError("--policies must name at least one policy")
@@ -123,66 +119,42 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _read_scores_jsonl(path: Path, temperature: float) -> Dict[str, float]:
     probs: Dict[str, float] = {}
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            row = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{path}:{lineno}: invalid JSON ({exc})") from exc
-        if not isinstance(row, dict) or "id" not in row:
-            raise ValidationError(f"{path}:{lineno}: need a JSON object with an 'id'")
-        try:
-            qid = json_id(row["id"])
-        except ValidationError as exc:
-            raise ValidationError(f"{path}:{lineno}: {exc}") from exc
-        if qid in probs:
-            raise ValidationError(f"{path}:{lineno}: duplicate id {qid!r}")
+    for where, qid, row in jsonl_rows(path, "score rows"):
         field = "p" if "p" in row else "score"
         if field not in row:
-            raise ValidationError(f"{path}:{lineno}: need either 'p' or 'score'")
+            raise ValidationError(f"{where}: need either 'p' or 'score'")
         value = row[field]
         if type(value) not in (int, float):
-            raise ValidationError(f"{path}:{lineno}: {field!r} must be a number, got {value!r:.200}")
+            raise ValidationError(f"{where}: {field!r} must be a number, got {value!r:.200}")
         value = float(value)
         if field == "p" and not 0.0 <= value <= 1.0:
-            raise ValidationError(f"{path}:{lineno}: 'p' must be a probability in [0, 1], got {value!r}")
+            raise ValidationError(f"{where}: 'p' must be a probability in [0, 1], got {value!r}")
         if field == "score" and not (math.isfinite(value) and value >= 0):
-            raise ValidationError(f"{path}:{lineno}: 'score' must be finite and >= 0, got {value!r}")
+            raise ValidationError(f"{where}: 'score' must be finite and >= 0, got {value!r}")
         probs[qid] = value if field == "p" else score_to_prob(value, temperature)
-    if not probs:
-        raise ValidationError(f"{path}: no score rows found")
     return probs
 
 
 def _cmd_allocate(args: argparse.Namespace) -> int:
-    temperature = args.temperature if args.temperature is not None else 0.2
+    # the budget and exit flags over the defaults; no file or environment
+    flags = _cli_overrides(args)
+    cfg = merge_settings(cli_cfg=flags)
+    temperature = get_setting(cfg, "budget.temperature", float)
     probs = _read_scores_jsonl(args.scores, temperature)
     if args.budget_effective is not None:
         budget = args.budget_effective
-    elif args.n is not None:
-        budget = (args.n - 1) * len(probs)
+    elif "budget.n" in flags:
+        budget = BudgetSpec(get_setting(cfg, "budget.n", int), len(probs), temperature).effective
     else:
         raise ValidationError("allocate needs --budget-effective or --n")
-    exit_cfg = ThresholdExitConfig(
-        exit_kind=ExitKind(args.exit_kind or "none"),
-        theta=args.theta if args.theta is not None else 0.5,
-        mode=ExitMode(args.exit_mode or "redistribute"),
-    )
+    exit_cfg = exit_config_from_settings(cfg)
     eligible, alloc, saved = apply_threshold_exits(probs, budget, exit_cfg)
     cert = verify_kkt(alloc, probs) if exit_cfg.exit_kind == ExitKind.NONE else None
-    out_path: Optional[Path] = args.out_file
-    lines = [
+    _write_lines([
         json.dumps({"id": qid, "p": probs[qid], "extra_samples": alloc.extras[qid]},
                    separators=(",", ":"))
         for qid in probs
-    ]
-    if out_path:
-        out_path.parent.mkdir(parents=True, exist_ok=True)
-        out_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    else:
-        for line in lines:
-            print(line)
+    ], args.out_file)
     j = coverage_objective(alloc, probs)
     msg = f"allocated {alloc.total_extras()}/{budget} units over {len(eligible)} eligible questions, J={j:.6f}"
     if saved:
@@ -195,23 +167,22 @@ def _cmd_allocate(args: argparse.Namespace) -> int:
 
 def _cmd_invert(args: argparse.Namespace) -> int:
     points = []
-    with open(args.points, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        first = True
-        for row in reader:
-            if not row or not row[0].strip():
-                continue
-            try:
-                n, accuracy = (float(cell) for cell in row[:2])
-            except ValueError as exc:
-                # only the first row may be a header
-                if not first:
-                    raise ValidationError(
-                        f"{args.points}:{reader.line_num}: need two numbers N,accuracy, got {row!r:.200}"
-                    ) from exc
-            else:
-                points.append((n, accuracy))
-            first = False
+    reader = csv.reader(io.StringIO(read_input_text(args.points), newline=""))
+    first = True
+    for row in reader:
+        if not row or not row[0].strip():
+            continue
+        try:
+            n, accuracy = (float(cell) for cell in row[:2])
+        except ValueError as exc:
+            # only the first row may be a header
+            if not first:
+                raise ValidationError(
+                    f"{args.points}:{reader.line_num}: need two numbers N,accuracy, got {row!r:.200}"
+                ) from exc
+        else:
+            points.append((n, accuracy))
+        first = False
     try:
         targets = [float(t) for t in args.targets.split(",") if t.strip()]
     except ValueError as exc:
@@ -220,11 +191,7 @@ def _cmd_invert(args: argparse.Namespace) -> int:
     lines = ["target,min_n"]
     for target, n in results:
         lines.append(f"{target},{'' if n is None else f'{n:.6f}'}")
-    if args.out_file:
-        args.out_file.parent.mkdir(parents=True, exist_ok=True)
-        args.out_file.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    else:
-        print("\n".join(lines))
+    _write_lines(lines, args.out_file)
     return 0
 
 
@@ -238,15 +205,10 @@ def _cmd_judge(args: argparse.Namespace) -> int:
     world, questions = experiment_inputs(experiment)
     backend = build_backend(experiment, world, seed=0)
     labels = judge_classify_all(questions, backend)
-    lines = [
+    _write_lines([
         json.dumps({"id": q.id, "label": label.value}, separators=(",", ":"))
         for q, label in zip(questions, labels)
-    ]
-    if args.out_file:
-        args.out_file.parent.mkdir(parents=True, exist_ok=True)
-        args.out_file.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    else:
-        print("\n".join(lines))
+    ], args.out_file)
     return 0
 
 
@@ -254,44 +216,61 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="uab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="run the two-phase pipeline")
-    _add_shared_flags(p_run)
-    p_run.add_argument("--questions", help="questions JSONL (http backend)")
+    # Flags shared by subcommands, each declared once; a flag that sets a
+    # config key has that key as its dest (see _cli_overrides).
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", type=Path, help="flat key-value config file")
+    budget = argparse.ArgumentParser(add_help=False)
+    budget.add_argument("--n", type=int, dest="budget.n", metavar="N",
+                        help="samples per question N (allocate spends (N-1)*M)")
+    budget.add_argument("--temperature", type=float, dest="budget.temperature", metavar="T",
+                        help="allocator temperature T")
+    budget.add_argument("--exit", dest="exit.kind", choices=[k.value for k in ExitKind])
+    budget.add_argument("--theta", type=float, dest="exit.theta", metavar="THETA",
+                        help="threshold-exit theta")
+    budget.add_argument("--exit-mode", dest="exit.mode", choices=[m.value for m in ExitMode])
+    experiment = argparse.ArgumentParser(add_help=False)
+    experiment.add_argument("--seed", type=int, action="append", dest="run.seeds", metavar="SEED",
+                            help="experiment seed (repeatable)")
+    experiment.add_argument("--policy", dest="pipeline.policy", choices=[p.value for p in Policy])
+    experiment.add_argument("--signal", dest="pipeline.signal", choices=[s.value for s in SignalKind],
+                            help="difficulty signal kind")
+    experiment.add_argument("--out", type=Path, dest="run.out", metavar="DIR", help="output directory")
+    backend = argparse.ArgumentParser(add_help=False)
+    backend.add_argument("--backend", dest="backend.kind", choices=["sim", "http"])
+    backend.add_argument("--questions", dest="run.questions", metavar="PATH",
+                         help="questions JSONL (http backend)")
+    out_file = argparse.ArgumentParser(add_help=False)
+    out_file.add_argument("--out", dest="out_file", type=Path, help="output file (default: stdout)")
+
+    p_run = sub.add_parser("run", parents=[config, experiment, budget, backend],
+                           help="run the two-phase pipeline")
     p_run.set_defaults(func=_cmd_run)
 
-    p_sim = sub.add_parser("simulate", help="compare policies in the simulated world")
-    _add_shared_flags(p_sim)
+    p_sim = sub.add_parser("simulate", parents=[config, experiment, budget],
+                           help="compare policies in the simulated world")
     p_sim.add_argument("--policies", default="uab,uniform",
                        help="comma-separated policies to compare")
     p_sim.set_defaults(func=_cmd_simulate)
 
-    p_alloc = sub.add_parser("allocate", help="allocate a budget over a scores file")
+    p_alloc = sub.add_parser("allocate", parents=[budget, out_file],
+                             help="allocate a budget over a scores file")
     p_alloc.add_argument("--scores", type=Path, required=True,
                          help="JSONL with {id, score} or {id, p} rows")
     p_alloc.add_argument("--budget-effective", type=int)
-    p_alloc.add_argument("--n", type=int, help="derive budget as (N-1)*M")
-    p_alloc.add_argument("--temperature", type=float)
-    p_alloc.add_argument("--exit", dest="exit_kind", choices=[k.value for k in ExitKind])
-    p_alloc.add_argument("--theta", type=float)
-    p_alloc.add_argument("--exit-mode", choices=[m.value for m in ExitMode])
-    p_alloc.add_argument("--out", dest="out_file", type=Path)
     p_alloc.set_defaults(func=_cmd_allocate)
 
-    p_inv = sub.add_parser("invert", help="minimum budget to reach accuracy targets")
+    p_inv = sub.add_parser("invert", parents=[out_file], help="minimum budget to reach accuracy targets")
     p_inv.add_argument("--points", type=Path, required=True, help="CSV of N,accuracy rows")
     p_inv.add_argument("--targets", required=True, help="comma-separated accuracy targets")
-    p_inv.add_argument("--out", dest="out_file", type=Path)
     p_inv.set_defaults(func=_cmd_invert)
 
     p_ver = sub.add_parser("verify", help="run the property-verification suite")
     p_ver.add_argument("--seed", dest="verify_seed", type=int, default=0)
     p_ver.set_defaults(func=_cmd_verify)
 
-    p_judge = sub.add_parser("judge", help="batch easy/hard labels for questions")
-    p_judge.add_argument("--config", type=Path, help="flat key-value config file")
-    p_judge.add_argument("--backend", choices=["sim", "http"])
-    p_judge.add_argument("--questions", help="questions JSONL (http backend)")
-    p_judge.add_argument("--out", dest="out_file", type=Path)
+    p_judge = sub.add_parser("judge", parents=[config, backend, out_file],
+                             help="batch easy/hard labels for questions")
     p_judge.set_defaults(func=_cmd_judge)
 
     return parser

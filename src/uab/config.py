@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Callable, Dict, Mapping, Optional, Tuple, TypeVar
+from typing import Callable, Dict, Iterator, Mapping, Optional, Tuple, TypeVar
 
 from .allocation import ExitKind, ExitMode, ThresholdExitConfig
 from .backends import (
@@ -32,23 +32,24 @@ ENV_PREFIX = "UAB_"
 #: Sections recognized in config keys; used to map env var names back to keys.
 SECTIONS = ("budget", "pipeline", "exit", "world", "run", "backend", "http")
 
+#: Every default a config dataclass states is read from that dataclass.
 DEFAULTS: Dict[str, str] = {
     "budget.n": "4",
-    "budget.temperature": "0.2",
-    "pipeline.policy": "uab",
-    "pipeline.signal": "anll",
+    "budget.temperature": str(BudgetSpec.temperature),
+    "pipeline.policy": PipelineConfig.policy.value,
+    "pipeline.signal": PipelineConfig.signal_kind.value,
     "pipeline.k": "",
     "pipeline.sampling_temperature": str(DEFAULT_SAMPLING_TEMPERATURE),
     "pipeline.max_tokens": str(DEFAULT_MAX_TOKENS),
-    "exit.kind": "none",
-    "exit.theta": "0.5",
-    "exit.mode": "redistribute",
+    "exit.kind": ThresholdExitConfig.exit_kind.value,
+    "exit.theta": str(ThresholdExitConfig.theta),
+    "exit.mode": ThresholdExitConfig.mode.value,
     "world.m_questions": "200",
     "world.prob_law": "beta:2,2",
-    "world.n_distractors": "4",
-    "world.noise_sigma": "0.0",
-    "world.rho": "0.0",
-    "world.temperature": "0.2",
+    "world.n_distractors": str(WorldConfig.n_distractors),
+    "world.noise_sigma": str(WorldConfig.signal_noise_sigma),
+    "world.rho": str(WorldConfig.correlation_rho),
+    "world.temperature": str(WorldConfig.world_temperature),
     "world.seed": "12345",
     "run.seeds": "0,1,2",
     "run.out": "results",
@@ -76,8 +77,19 @@ def parse_config_text(text: str) -> Dict[str, str]:
     return out
 
 
+def read_input_text(path: Path) -> str:
+    """The UTF-8 text of an input file; a file that is missing, unreadable or
+    not UTF-8 is a :class:`ValidationError` that names the path."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ValidationError(f"{path}: cannot read ({exc.strerror or exc})") from exc
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text ({exc})") from exc
+
+
 def load_config_file(path: Path) -> Dict[str, str]:
-    return parse_config_text(Path(path).read_text(encoding="utf-8"))
+    return parse_config_text(read_input_text(path))
 
 
 def env_overrides(environ: Mapping[str, str]) -> Dict[str, str]:
@@ -110,7 +122,7 @@ T = TypeVar("T")
 _EXPECTED = {int: "integer", float: "number"}
 
 
-def _get(cfg: Mapping[str, str], key: str, kind: Callable[[str], T]) -> T:
+def get_setting(cfg: Mapping[str, str], key: str, kind: Callable[[str], T]) -> T:
     """``cfg[key]`` read as ``kind``: ``int``, ``float`` or an Enum of strings."""
     try:
         return kind(cfg[key])
@@ -151,62 +163,78 @@ def parse_seed_list(text: str) -> Tuple[int, ...]:
     return seeds
 
 
-def json_id(value: object) -> str:
-    """An ``id`` read from a JSON file: a string as it is, an integer (not a
-    bool) as its decimal string; anything else is a :class:`ValidationError`."""
-    if isinstance(value, str):
-        return value
-    if type(value) is int:
-        return str(value)
-    raise ValidationError(f"'id' must be a string or an integer, got {value!r:.200}")
-
-
-def load_questions_jsonl(path: Path) -> list[QuestionRecord]:
-    """The questions of a JSONL file, one JSON object per line. An integer
-    ``id`` and a numeric ``gold_answer`` are read as their ``str``;
-    :class:`ValidationError` names the line of a row that is not an object,
-    lacks ``id`` or ``prompt``, repeats an earlier id, has an ``id`` that is
-    neither a string nor an integer, a ``prompt`` that is not a string, or a
-    ``gold_answer`` that is neither a string nor a number."""
-    questions: Dict[str, QuestionRecord] = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+def jsonl_rows(path: Path, what: str) -> Iterator[Tuple[str, str, dict]]:
+    """The rows of a JSONL file of records keyed by ``id``, one JSON object per
+    line, as ``(where, id, row)`` with ``where`` the row's ``path:line``.
+    Blank lines are skipped; :class:`ValidationError` names the line of a row
+    that is not JSON, not an object with an ``id``, has an ``id`` that is
+    neither a string nor an integer (an integer is read as its ``str``) or
+    repeats an earlier id, and names the file when it holds no row (``what``
+    says what the rows are)."""
+    seen = set()
+    for lineno, line in enumerate(read_input_text(path).splitlines(), start=1):
         if not line.strip():
             continue
+        where = f"{path}:{lineno}"
         try:
             row = json.loads(line)
         except json.JSONDecodeError as exc:
-            raise ValidationError(f"{path}:{lineno}: invalid JSON ({exc})") from exc
-        if not isinstance(row, dict):
-            raise ValidationError(f"{path}:{lineno}: a question must be a JSON object")
+            raise ValidationError(f"{where}: invalid JSON ({exc})") from exc
+        if not isinstance(row, dict) or "id" not in row:
+            raise ValidationError(f"{where}: need a JSON object with an 'id'")
+        qid = row["id"]
+        if type(qid) is int:  # not a bool
+            qid = str(qid)
+        elif not isinstance(qid, str):
+            raise ValidationError(f"{where}: 'id' must be a string or an integer, got {qid!r:.200}")
+        if qid in seen:
+            raise ValidationError(f"{where}: duplicate id {qid!r}")
+        seen.add(qid)
+        yield where, qid, row
+    if not seen:
+        raise ValidationError(f"{path}: no {what} found")
+
+
+def load_questions_jsonl(path: Path) -> list[QuestionRecord]:
+    """The questions of a JSONL file, read by :func:`jsonl_rows`. A numeric
+    ``gold_answer`` is read as its ``str``; :class:`ValidationError` names the
+    line of a row that lacks ``prompt``, has a ``prompt`` that is not a string,
+    a ``gold_answer`` that is neither a string nor a number, or an unknown
+    ``task_kind``."""
+    questions = []
+    for where, qid, row in jsonl_rows(path, "questions"):
         gold = row.get("gold_answer")
         if type(gold) in (int, float):
             gold = str(gold)
         try:
-            question = QuestionRecord(
-                id=json_id(row["id"]),
+            questions.append(QuestionRecord(
+                id=qid,
                 prompt=row["prompt"],
                 gold_answer=gold,
                 task_kind=TaskKind(row.get("task_kind", "open_math")),
-            )
+            ))
         except (KeyError, ValueError) as exc:
-            raise ValidationError(f"{path}:{lineno}: bad question record ({exc})") from exc
-        if question.id in questions:
-            raise ValidationError(f"{path}:{lineno}: duplicate question id {question.id!r}")
-        questions[question.id] = question
-    if not questions:
-        raise ValidationError(f"{path}: no questions found")
-    return list(questions.values())
+            raise ValidationError(f"{where}: bad question record ({exc})") from exc
+    return questions
 
 
 def world_config_from_settings(cfg: Mapping[str, str]) -> WorldConfig:
     return WorldConfig(
-        m_questions=_get(cfg, "world.m_questions", int),
+        m_questions=get_setting(cfg, "world.m_questions", int),
         prob_law=parse_prob_law(cfg["world.prob_law"]),
-        n_distractors=_get(cfg, "world.n_distractors", int),
-        signal_noise_sigma=_get(cfg, "world.noise_sigma", float),
-        correlation_rho=_get(cfg, "world.rho", float),
-        world_temperature=_get(cfg, "world.temperature", float),
-        rng_seed=_get(cfg, "world.seed", int),
+        n_distractors=get_setting(cfg, "world.n_distractors", int),
+        signal_noise_sigma=get_setting(cfg, "world.noise_sigma", float),
+        correlation_rho=get_setting(cfg, "world.rho", float),
+        world_temperature=get_setting(cfg, "world.temperature", float),
+        rng_seed=get_setting(cfg, "world.seed", int),
+    )
+
+
+def exit_config_from_settings(cfg: Mapping[str, str]) -> ThresholdExitConfig:
+    return ThresholdExitConfig(
+        exit_kind=get_setting(cfg, "exit.kind", ExitKind),
+        theta=get_setting(cfg, "exit.theta", float),
+        mode=get_setting(cfg, "exit.mode", ExitMode),
     )
 
 
@@ -238,28 +266,24 @@ def build_experiment_config(cfg: Mapping[str, str], environ: Mapping[str, str]) 
     else:
         raise ValidationError(f"backend.kind must be sim or http, got {backend_kind!r}")
 
-    signal = _get(cfg, "pipeline.signal", SignalKind)
+    signal = get_setting(cfg, "pipeline.signal", SignalKind)
     k = 2 if signal == SignalKind.VOTE_ENTROPY else 1
     if cfg.get("pipeline.k", ""):
-        k = _get(cfg, "pipeline.k", int)
+        k = get_setting(cfg, "pipeline.k", int)
 
     budget = BudgetSpec(
-        n_per_question=_get(cfg, "budget.n", int),
+        n_per_question=get_setting(cfg, "budget.n", int),
         m_questions=m_questions,
-        temperature=_get(cfg, "budget.temperature", float),
+        temperature=get_setting(cfg, "budget.temperature", float),
     )
     pipeline = PipelineConfig(
         budget=budget,
         signal_kind=signal,
-        threshold_exit=ThresholdExitConfig(
-            exit_kind=_get(cfg, "exit.kind", ExitKind),
-            theta=_get(cfg, "exit.theta", float),
-            mode=_get(cfg, "exit.mode", ExitMode),
-        ),
-        policy=_get(cfg, "pipeline.policy", Policy),
+        threshold_exit=exit_config_from_settings(cfg),
+        policy=get_setting(cfg, "pipeline.policy", Policy),
         phase1_samples_k=k,
-        sampling_temperature=_get(cfg, "pipeline.sampling_temperature", float),
-        max_tokens=_get(cfg, "pipeline.max_tokens", int),
+        sampling_temperature=get_setting(cfg, "pipeline.sampling_temperature", float),
+        max_tokens=get_setting(cfg, "pipeline.max_tokens", int),
     )
     cache_dir = cfg.get("http.cache_dir", "")
     return ExperimentConfig(

@@ -65,11 +65,10 @@ class _QuestionFields(NamedTuple):
     prompt: str
     gold_answer: Optional[str]
     task_kind: TaskKind
-    length_chars: int
 
 
 class QuestionRecord(_QuestionFields):
-    """One input question. ``length_chars`` always equals ``len(prompt)``.
+    """One input question.
 
     A validated tuple of its fields: it unpacks, and compares equal to a tuple
     of the same values; ``_make`` and ``_replace`` validate as the constructor
@@ -79,7 +78,7 @@ class QuestionRecord(_QuestionFields):
     __slots__ = ()
 
     def __new__(cls, id: str, prompt: str, gold_answer: Optional[str] = None,
-                task_kind: TaskKind = TaskKind.OPEN_MATH, length_chars: int = -1):
+                task_kind: TaskKind = TaskKind.OPEN_MATH):
         if not isinstance(id, str):
             raise ValidationError(f"question id must be a string, got {id!r:.200}")
         if not id:
@@ -88,15 +87,14 @@ class QuestionRecord(_QuestionFields):
             raise ValidationError(f"prompt must be a string, got {prompt!r:.200}")
         if gold_answer is not None and not isinstance(gold_answer, str):
             raise ValidationError(f"gold_answer must be a string or None, got {gold_answer!r:.200}")
-        if length_chars < 0:
-            length_chars = len(prompt)
-        elif length_chars != len(prompt):
-            raise ValidationError(
-                f"length_chars={length_chars} does not match prompt length {len(prompt)}"
-            )
-        return tuple.__new__(cls, (id, prompt, gold_answer, task_kind, length_chars))
+        return tuple.__new__(cls, (id, prompt, gold_answer, task_kind))
 
     _make = classmethod(_validated_make)
+
+    @property
+    def length_chars(self) -> int:
+        """The prompt's length in characters, ``len(prompt)``."""
+        return len(self.prompt)
 
 
 class _DifficultyFields(NamedTuple):

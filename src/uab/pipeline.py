@@ -20,7 +20,7 @@ from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Union
 import numpy as np
 
 from . import signals
-from .allocation import ThresholdExitConfig, apply_threshold_exits, greedy_allocate, split_evenly
+from .allocation import ExitKind, ThresholdExitConfig, apply_threshold_exits, greedy_allocate, split_evenly
 from .backends import (
     BackendError,
     BackendRequest,
@@ -85,6 +85,9 @@ class PipelineConfig:
         if self.phase1_samples_k > 1 and self.policy != Policy.UAB:
             # baseline allocation rules assume a single first-round sample
             raise ValidationError(f"policy {self.policy.value} requires K = 1")
+        if self.threshold_exit.exit_kind != ExitKind.NONE and self.policy != Policy.UAB:
+            # the comparison policies spend the whole budget by their own rules
+            raise ValidationError(f"policy {self.policy.value} takes no threshold exit")
         # written so that NaN fails too; an HTTP request body cannot encode it
         if not 0.0 <= self.sampling_temperature < math.inf:
             raise ValidationError(f"sampling_temperature must be finite and >= 0, got {self.sampling_temperature}")

@@ -13,7 +13,8 @@ from uab.config import (
     parse_prob_law,
     parse_seed_list,
 )
-from uab.cli import main
+from uab.allocation import ThresholdExitConfig, apply_threshold_exits
+from uab.cli import _cli_overrides, build_parser, main
 from uab.core import SignalKind, ValidationError
 
 
@@ -191,7 +192,8 @@ class TestCli:
         (["--policies", "uab,bogus"], "pipeline.policy"),
         (["--signal", "vote_entropy", "--policies", "uab,uniform"], "policy uniform requires K = 1"),
         (["--policies", ","], "--policies"),
-    ], ids=["unknown_policy", "policy_rejects_config", "no_policy"])
+        (["--exit", "easy", "--policies", "uab,uniform"], "policy uniform takes no threshold exit"),
+    ], ids=["unknown_policy", "policy_rejects_config", "no_policy", "comparison_policy_exit"])
     def test_simulate_rejects_every_policy_before_any_run(self, tmp_path, capsys, argv, message):
         out = tmp_path / "sim"
         rc = self.run_cli("simulate", "--n", "4", "--seed", "0", "--out", str(out), *argv)
@@ -239,6 +241,7 @@ class TestCli:
         ({"UAB_PIPELINE_MAX_TOKENS": "0"}, []),
         ({"UAB_PIPELINE_SIGNAL": "length"}, []),
         ({}, ["--signal", "length"]),
+        ({"UAB_PIPELINE_POLICY": "uniform"}, ["--exit", "easy", "--theta", "0.5", "--exit-mode", "skip"]),
     ])
     def test_config_errors_exit_2_with_an_error_line(self, tmp_path, capsys, monkeypatch, env, argv):
         for name, value in env.items():
@@ -334,3 +337,69 @@ class TestCli:
         )
         assert rc == 0
         assert "N=5" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv, settings", [
+        (["run", "--seed", "3", "--seed", "4", "--policy", "uniform", "--signal", "vcs", "--out", "o",
+          "--n", "5", "--temperature", "0.3", "--exit", "easy", "--theta", "0.4", "--exit-mode", "skip",
+          "--backend", "http", "--questions", "q.jsonl"],
+         {"run.seeds": "3,4", "pipeline.policy": "uniform", "pipeline.signal": "vcs", "run.out": "o",
+          "budget.n": "5", "budget.temperature": "0.3", "exit.kind": "easy", "exit.theta": "0.4",
+          "exit.mode": "skip", "backend.kind": "http", "run.questions": "q.jsonl"}),
+        (["simulate", "--seed", "7", "--policy", "random", "--n", "2", "--exit", "hard"],
+         {"run.seeds": "7", "pipeline.policy": "random", "budget.n": "2", "exit.kind": "hard"}),
+        (["allocate", "--scores", "s.jsonl", "--n", "3", "--temperature", "0.5", "--exit", "easy",
+          "--theta", "0.7", "--exit-mode", "skip", "--out", "a.jsonl"],
+         {"budget.n": "3", "budget.temperature": "0.5", "exit.kind": "easy", "exit.theta": "0.7",
+          "exit.mode": "skip"}),
+        (["judge", "--backend", "http", "--questions", "q.jsonl", "--out", "l.jsonl"],
+         {"backend.kind": "http", "run.questions": "q.jsonl"}),
+        (["run"], {}),
+    ], ids=["run", "simulate", "allocate", "judge", "no_flags"])
+    def test_every_flag_lands_on_its_config_key(self, argv, settings):
+        assert _cli_overrides(build_parser().parse_args(argv)) == settings
+
+    def test_allocate_without_exit_flags_uses_the_default_exit_config(self, tmp_path):
+        probs = {"a": 0.1, "b": 0.5, "c": 0.9, "d": 0.97}
+        scores = tmp_path / "scores.jsonl"
+        scores.write_text("".join(json.dumps({"id": qid, "p": p}) + "\n" for qid, p in probs.items()))
+        out = tmp_path / "alloc.jsonl"
+        assert self.run_cli("allocate", "--scores", str(scores), "--n", "3", "--out", str(out)) == 0
+        _, alloc, _ = apply_threshold_exits(probs, 8, ThresholdExitConfig())
+        rows = [json.loads(line) for line in out.read_text().splitlines()]
+        assert {r["id"]: r["extra_samples"] for r in rows} == dict(alloc.extras)
+
+    def test_simulate_takes_no_backend(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "sim"
+        with pytest.raises(SystemExit) as exc:
+            self.run_cli("simulate", "--backend", "http", "--policies", "uniform", "--out", str(out))
+        assert exc.value.code == 2
+        monkeypatch.setenv("UAB_BACKEND_KIND", "http")
+        monkeypatch.setenv("UAB_WORLD_M_QUESTIONS", "20")
+        assert self.run_cli("simulate", "--policies", "uniform", "--out", str(out)) == 2
+        captured = capsys.readouterr()
+        assert "error: " in captured.err and "backend.kind" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--config", "{path}"],
+        ["run", "--backend", "http", "--questions", "{path}"],
+        ["allocate", "--scores", "{path}", "--n", "2"],
+        ["invert", "--points", "{path}", "--targets", "44"],
+        ["judge", "--config", "{dir}"],
+        ["allocate", "--scores", "{dir}", "--n", "2"],
+        ["invert", "--points", "{latin1}", "--targets", "44"],
+    ], ids=["config", "questions", "scores", "points", "config_is_a_directory", "scores_is_a_directory",
+            "points_not_utf8"])
+    def test_missing_or_unreadable_input_exits_2_naming_the_path(self, tmp_path, capsys, argv):
+        latin1 = tmp_path / "latin1.csv"
+        latin1.write_bytes("n,précision\n1,40\n".encode("latin-1"))
+        path = {"{path}": str(tmp_path / "missing"), "{dir}": str(tmp_path), "{latin1}": str(latin1)}
+        argv = [path.get(arg, arg) for arg in argv]
+        named = next(arg for arg in argv if arg.startswith(str(tmp_path)))
+        rc = self.run_cli(*argv, "--out", str(tmp_path / "out"))
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {named}: ")
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()

@@ -144,8 +144,11 @@ class TestDomainTypes:
         assert q.length_chars == 5
 
     def test_question_length_mismatch(self):
-        with pytest.raises(ValidationError):
+        # the length is derived from the prompt, so it cannot be given apart from it
+        with pytest.raises(TypeError):
             QuestionRecord(id="q1", prompt="hello", length_chars=3)
+        with pytest.raises(ValueError):
+            QuestionRecord(id="q1", prompt="hello")._replace(length_chars=3)
 
     @pytest.mark.parametrize("gold", [4, True, ["4"]])
     def test_question_gold_answer_must_be_a_string(self, gold):
@@ -200,7 +203,6 @@ _BAD_FIELDS = [
     (_RECORDS[0], "id", None),
     (_RECORDS[0], "prompt", {"a": 1}),
     (_RECORDS[0], "gold_answer", 4),
-    (_RECORDS[0], "length_chars", 3),
     (_RECORDS[1], "score", -0.1),
     (_RECORDS[1], "score", math.nan),
     (_RECORDS[1], "prob", 1.5),
@@ -247,12 +249,13 @@ class TestValueRecords:
         q = QuestionRecord(id="q1", prompt="hi")
         assert repr(q) == (
             "QuestionRecord(id='q1', prompt='hi', gold_answer=None, "
-            "task_kind=<TaskKind.OPEN_MATH: 'open_math'>, length_chars=2)"
+            "task_kind=<TaskKind.OPEN_MATH: 'open_math'>)"
         )
         assert QuestionRecord._make(("q1", "hi")) == q
-        with pytest.raises(ValidationError, match="length_chars"):
-            q._replace(prompt="longer")
-        assert q._replace(prompt="longer", length_chars=-1).length_chars == 6
+        assert q.length_chars == 2
+        assert q._replace(prompt="longer").length_chars == 6
+        with pytest.raises(AttributeError):
+            q.length_chars = 2
 
     @pytest.mark.parametrize("qid, prompt", [(None, "p"), (["x"], "p"), (7, "p"), ("q", None), ("q", {"a": 1})])
     def test_question_id_and_prompt_must_be_strings(self, qid, prompt):
