@@ -429,8 +429,7 @@ class SimulatedBackend:
         return output
 
     def _samples(self, question: int, first: int, count: int) -> List[SampleOutput]:
-        """Samples ``first`` to ``first + count - 1`` of ``question``: the one
-        draw path of :meth:`generate` and :meth:`sample_outcome`."""
+        """Samples ``first`` to ``first + count - 1`` of ``question``."""
         cfg = self.world.config
         chunk, offset = divmod(question, _CHUNK)
         drawn = self._chunks(_LANE_SAMPLE, range(first, first + count), chunk)
@@ -449,9 +448,6 @@ class SimulatedBackend:
             )
             for answers, noise in drawn
         ]
-
-    def sample_outcome(self, qid: str, sample_index: int) -> SampleOutput:
-        return self._samples(self._index(qid), sample_index, 1)[0]
 
     def _judge_response(self, qid: str) -> str:
         question = self._index(qid)
@@ -499,8 +495,8 @@ _KEY_RE = re.compile(r"[0-9a-f]{64}")
 #: What a cache segment's file name ends with.
 _SEGMENT_SUFFIX = ".log"
 
-#: Where a cache entry sits: a file, and the offset and length of the entry
-#: in it; ``(path, 0, size)`` for a whole ``<key>.json`` file.
+#: Where a cache entry sits: a segment, and the offset and length of the
+#: entry in it.
 _Location = Tuple[str, int, int]
 
 
@@ -516,16 +512,14 @@ class ResponseCache:
     ``<64-hex key>\\t<entry>\\n`` with one ``os.write``, where the entry is the
     JSON object ``{"text", "token_logprobs", "finish_reason"}``.
 
-    An instance reads the directory once, at first use, and indexes every
-    entry in it as a file, an offset and a length, without holding any
-    entry's text: first the ``<key>.json`` files, one per sample, that earlier
-    versions wrote (nothing writes them any more), each as its whole file,
-    sized in that same directory read; then each segment's lines in name
-    order, so later lines and later segments win. A line without its newline,
-    whose writer stopped mid-write, is skipped. What others write to the
-    directory after that is not seen, so a key the index lacks is a miss
-    without touching the disk, and :meth:`get` reads any entry with one
-    ``os.pread``.
+    An instance reads the directory once, when it is opened, and indexes
+    every entry in it as a segment, an offset and a length, without holding
+    any entry's text: each segment's lines in name order, so later lines and
+    later segments win. A line without its newline, whose writer stopped
+    mid-write, is skipped; other files in the directory are ignored. What
+    others write to the directory after that is not seen, so a key the index
+    lacks is a miss without touching the disk, and :meth:`get` reads any
+    entry with one ``os.pread``.
 
     Safe for concurrent use by the threads of one process, and by processes
     that share a directory, as each writes its own segment.
@@ -536,9 +530,9 @@ class ResponseCache:
         self.directory.mkdir(parents=True, exist_ok=True)
         self.hits = 0
         self.misses = 0
-        #: Guards the index build, the segment and the counters.
+        #: Guards the index, the segment and the counters.
         self._lock = threading.Lock()
-        self._index: Optional[Dict[str, _Location]] = None
+        self._index = self._read_index()
         self._segment: Optional[str] = None
         self._fd: Optional[int] = None
         self._close_segment: Optional[weakref.finalize] = None
@@ -567,27 +561,9 @@ class ResponseCache:
         )
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
-    def _entries(self) -> Dict[str, _Location]:
-        """The index, by key, built on first use."""
-        index = self._index
-        if index is None:
-            with self._lock:
-                if self._index is None:
-                    self._index = self._read_index()
-                index = self._index
-        return index
-
     def _read_index(self) -> Dict[str, _Location]:
-        with os.scandir(self.directory) as listing:
-            entries = sorted(listing, key=lambda entry: entry.name)
         index: Dict[str, _Location] = {}
-        for entry in entries:
-            if entry.name.endswith(".json") and len(entry.name) == _KEY_LEN + len(".json"):
-                try:
-                    index[entry.name[:_KEY_LEN]] = (entry.path, 0, entry.stat().st_size)
-                except OSError as exc:
-                    logger.warning("cache file %s unreadable (%s); skipping it", entry.path, exc)
-        for segment in (entry.path for entry in entries if entry.name.endswith(_SEGMENT_SUFFIX)):
+        for segment in sorted(map(str, self.directory.glob("*" + _SEGMENT_SUFFIX))):
             try:
                 with open(segment, "rb") as fh:
                     offset = 0
@@ -605,7 +581,7 @@ class ResponseCache:
         """The sample stored under ``key``, or None on a miss. An entry that is
         not JSON, or not a sample (:func:`_cached_sample`), is a miss too, and
         the next :meth:`put` of its key replaces it."""
-        where = self._entries().get(key)
+        where = self._index.get(key)
         if where is None:
             self._count(hit=False)
             return None
@@ -634,9 +610,8 @@ class ResponseCache:
             "finish_reason": sample.finish_reason.value,
         }
         line = f"{key}\t{json.dumps(entry, ensure_ascii=True)}\n".encode("ascii")
-        index = self._entries()
         with self._lock:
-            if key in index:
+            if key in self._index:
                 logger.info("cache entry %s overwritten (last write wins)", key)
             if self._fd is None:
                 self._open_segment()
@@ -650,7 +625,7 @@ class ResponseCache:
                 self._close_segment()
                 self._fd = None
                 raise
-            index[key] = (self._segment, self._size + _KEY_LEN + 1, len(line) - _KEY_LEN - 2)
+            self._index[key] = (self._segment, self._size + _KEY_LEN + 1, len(line) - _KEY_LEN - 2)
             self._size += written
 
     def _open_segment(self) -> None:

@@ -58,6 +58,18 @@ def _merged_settings(args: argparse.Namespace) -> Dict[str, str]:
     return merge_settings(file_cfg, env_overrides(os.environ), _cli_overrides(args))
 
 
+def _check_writable(path: Optional[Path], directory: bool) -> None:
+    """:class:`ValidationError` naming ``path`` when a command could not write
+    a directory (or a file) there, checked before the command runs: the path,
+    or else its nearest existing ancestor, must be a writable directory,
+    unless it is the path itself and a file is wanted."""
+    if path is None:
+        return
+    nearest = next(p for p in (path, *path.parents) if p.exists())
+    if nearest.is_dir() != (directory or nearest != path) or not os.access(nearest, os.W_OK):
+        raise ValidationError(f"{path}: not a writable {'directory' if directory else 'file'}")
+
+
 def _write_lines(lines: List[str], out_file: Optional[Path]) -> None:
     """Write ``lines`` to ``out_file``, or to stdout when it is None."""
     if out_file:
@@ -84,6 +96,7 @@ def _print_report(report: MetricReport) -> None:
 def _cmd_run(args: argparse.Namespace) -> int:
     cfg = _merged_settings(args)
     experiment = build_experiment_config(cfg, os.environ)
+    _check_writable(experiment.output_dir, directory=True)
     try:
         report = run_experiment(experiment)
     except PartialRunError as exc:
@@ -105,6 +118,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         raise ValidationError("--policies must name at least one policy")
     # every policy's config is checked before the first run writes anything
     experiments = [build_experiment_config({**cfg, "pipeline.policy": policy}, os.environ) for policy in policies]
+    _check_writable(Path(cfg["run.out"]), directory=True)
     status = 0
     for experiment in experiments:
         try:
@@ -136,10 +150,14 @@ def _read_scores_jsonl(path: Path, temperature: float) -> Dict[str, float]:
 
 
 def _cmd_allocate(args: argparse.Namespace) -> int:
+    _check_writable(args.out_file, directory=False)
     # the budget and exit flags over the defaults; no file or environment
     flags = _cli_overrides(args)
     cfg = merge_settings(cli_cfg=flags)
     temperature = get_setting(cfg, "budget.temperature", float)
+    # checked here, as rows of p alone never reach score_to_prob; NaN fails too
+    if not temperature > 0:
+        raise ValidationError(f"temperature must be > 0, got {temperature!r}")
     probs = _read_scores_jsonl(args.scores, temperature)
     if args.budget_effective is not None:
         budget = args.budget_effective
@@ -166,6 +184,7 @@ def _cmd_allocate(args: argparse.Namespace) -> int:
 
 
 def _cmd_invert(args: argparse.Namespace) -> int:
+    _check_writable(args.out_file, directory=False)
     points = []
     reader = csv.reader(io.StringIO(read_input_text(args.points), newline=""))
     first = True
@@ -201,6 +220,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_judge(args: argparse.Namespace) -> int:
+    _check_writable(args.out_file, directory=False)
     experiment = build_experiment_config(_merged_settings(args), os.environ)
     world, questions = experiment_inputs(experiment)
     backend = build_backend(experiment, world, seed=0)
@@ -232,7 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
     experiment = argparse.ArgumentParser(add_help=False)
     experiment.add_argument("--seed", type=int, action="append", dest="run.seeds", metavar="SEED",
                             help="experiment seed (repeatable)")
-    experiment.add_argument("--policy", dest="pipeline.policy", choices=[p.value for p in Policy])
     experiment.add_argument("--signal", dest="pipeline.signal", choices=[s.value for s in SignalKind],
                             help="difficulty signal kind")
     experiment.add_argument("--out", type=Path, dest="run.out", metavar="DIR", help="output directory")
@@ -245,6 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", parents=[config, experiment, budget, backend],
                            help="run the two-phase pipeline")
+    p_run.add_argument("--policy", dest="pipeline.policy", choices=[p.value for p in Policy])
     p_run.set_defaults(func=_cmd_run)
 
     p_sim = sub.add_parser("simulate", parents=[config, experiment, budget],

@@ -63,7 +63,9 @@ DEFAULTS: Dict[str, str] = {
 
 def parse_config_text(text: str) -> Dict[str, str]:
     out: Dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    # lines end at "\n" only: str.splitlines would also end one at a form
+    # feed or a record separator inside a value
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -254,14 +256,10 @@ def build_experiment_config(cfg: Mapping[str, str], environ: Mapping[str, str]) 
             raise ValidationError("http backend needs run.questions pointing at a questions JSONL")
         questions = load_questions_jsonl(Path(questions_path))
         m_questions = len(questions)
-        base_url = cfg.get("http.base_url") or environ.get("UAB_API_BASE", "")
-        model = cfg.get("http.model") or environ.get("UAB_MODEL", "")
-        if not base_url or not model:
-            raise ValidationError(
-                "http backend needs http.base_url and http.model (or UAB_API_BASE/UAB_MODEL)"
-            )
+        if not cfg["http.base_url"] or not cfg["http.model"]:
+            raise ValidationError("http backend needs http.base_url and http.model")
         # API key only ever comes from the environment
-        http = HttpBackendConfig(base_url=base_url, model=model,
+        http = HttpBackendConfig(base_url=cfg["http.base_url"], model=cfg["http.model"],
                                  api_key=environ.get("UAB_API_KEY", ""))
     else:
         raise ValidationError(f"backend.kind must be sim or http, got {backend_kind!r}")

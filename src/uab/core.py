@@ -42,12 +42,6 @@ class SignalKind(str, Enum):
     VOTE_ENTROPY = "vote_entropy"
 
 
-#: Signals computed from per-token log-probabilities of a generation.
-LOGPROB_SIGNALS = frozenset(
-    {SignalKind.ANLL, SignalKind.TOTAL_NLL, SignalKind.TOKEN_VAR, SignalKind.MAX_TOKEN_NLL}
-)
-
-
 def _validated_make(cls, iterable):
     """``_make`` of a validated NamedTuple subclass: through ``__new__``, so
     that ``_make`` and ``_replace`` check the fields as the constructor does."""

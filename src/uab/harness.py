@@ -408,8 +408,7 @@ def _check_simulator_inversion(rng: np.random.Generator) -> CheckResult:
     worst = 0.0
     count = 0
     for q, p in zip(world.questions, world.p_star.tolist()):
-        for s in range(3):
-            out = backend.sample_outcome(q.id, s)
+        for out in backend.generate(BackendRequest(q.id, q.prompt, 3)).samples:
             recovered = score_to_prob(anll(out.token_logprobs), world.config.world_temperature)
             worst = max(worst, abs(recovered - p))
             count += 1
@@ -418,7 +417,8 @@ def _check_simulator_inversion(rng: np.random.Generator) -> CheckResult:
     corr_world = SimulatedWorld(WorldConfig(m_questions=20, correlation_rho=1.0, rng_seed=3))
     corr_backend = SimulatedBackend(corr_world, run_seed=1)
     for q in corr_world.questions:
-        outcomes = {q.gold_answer in corr_backend.sample_outcome(q.id, s).text for s in range(6)}
+        samples = corr_backend.generate(BackendRequest(q.id, q.prompt, 6)).samples
+        outcomes = {q.gold_answer in out.text for out in samples}
         count += 6
         if len(outcomes) != 1:
             passed = False

@@ -39,12 +39,12 @@ from .core import (
     DifficultyEstimate,
     ExperimentResult,
     FinishReason,
-    LOGPROB_SIGNALS,
     QuestionRecord,
     SignalKind,
     TaskKind,
     ValidationError,
 )
+from .signals import LOGPROB_SIGNALS
 
 logger = logging.getLogger(__name__)
 
@@ -122,11 +122,18 @@ _TRAILING_PUNCT = ".,;:!?"
 
 
 def canonicalize_answer(raw: str) -> str:
-    """Trim whitespace and trailing punctuation; normalize numeric forms."""
-    s = raw.strip().rstrip(_TRAILING_PUNCT).strip()
+    """Trim whitespace and trailing punctuation; normalize numeric forms.
+    Idempotent; an integer too long for :func:`int` keeps its digits."""
+    s = raw.strip()
+    # until neither punctuation nor whitespace ends it: "x. ." is "x"
+    while s and s[-1] in _TRAILING_PUNCT:
+        s = s.rstrip(_TRAILING_PUNCT).rstrip()
     compact = s.replace(",", "")
     if _INT_RE.fullmatch(compact):
-        return str(int(compact))
+        try:
+            return str(int(compact))
+        except ValueError:
+            return compact
     if _DECIMAL_RE.fullmatch(s):
         value = float(compact)
         if value.is_integer():

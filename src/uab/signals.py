@@ -70,6 +70,9 @@ _LOGPROB_SCORERS = {
     SignalKind.MAX_TOKEN_NLL: max_token_nll,
 }
 
+#: Signals computed from per-token log-probabilities of a generation.
+LOGPROB_SIGNALS = frozenset(_LOGPROB_SCORERS)
+
 
 def logprob_score(kind: SignalKind, token_logprobs: Sequence[float]) -> float:
     """Dispatch to one of the logprob-derived scorers."""

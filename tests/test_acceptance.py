@@ -75,11 +75,8 @@ def dominance_sweep():
             hits = 0
             for r in results:
                 gold = world.questions[world.index[r.question_id]].gold_answer
-                if any(
-                    parse_answer(audit.sample_outcome(r.question_id, s).text, TaskKind.OPEN_MATH)
-                    == gold
-                    for s in range(r.samples_used)
-                ):
+                replay = audit.generate(BackendRequest(r.question_id, "p", r.samples_used)).samples
+                if any(parse_answer(out.text, TaskKind.OPEN_MATH) == gold for out in replay):
                     hits += 1
             realized[policy.value].append(hits / M_SIM)
     return predicted, realized, voted
@@ -186,8 +183,7 @@ def test_simulator_fidelity():
     backend = SimulatedBackend(world, run_seed=5)
     worst = 0.0
     for q in world.questions:
-        for s in range(4):
-            out = backend.sample_outcome(q.id, s)
+        for out in backend.generate(BackendRequest(q.id, q.prompt, 4)).samples:
             anll_value = sum(-lp for lp in out.token_logprobs) / len(out.token_logprobs)
             recovered = score_to_prob(anll_value, world.config.world_temperature)
             worst = max(worst, abs(recovered - world.p_star[world.index[q.id]]))
@@ -215,7 +211,8 @@ def test_simulator_fidelity():
     corr_backend = SimulatedBackend(corr_world, run_seed=2)
     agree_ok = True
     for q in corr_world.questions:
-        outcomes = {q.gold_answer in corr_backend.sample_outcome(q.id, s).text for s in range(10)}
+        replay = corr_backend.generate(BackendRequest(q.id, q.prompt, 10)).samples
+        outcomes = {q.gold_answer in out.text for out in replay}
         agree_ok = agree_ok and len(outcomes) == 1
 
     verdict(

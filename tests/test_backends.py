@@ -100,12 +100,16 @@ class TestSimulatedWorld:
             assert q.gold_answer == str(100 + world.index[q.id])
 
 
+def one_sample(backend, qid, index):
+    """Sample ``index`` of question ``qid``, asked for in a request of its own."""
+    return backend.generate(BackendRequest(qid, "p", 1, first_sample_index=index)).samples[0]
+
+
 class TestSimulatedBackend:
     def test_certain_question_always_gold(self):
         world = make_world(m=2, probs=[1.0, 1.0])
         backend = SimulatedBackend(world, run_seed=0)
-        for s in range(20):
-            out = backend.sample_outcome("q00000", s)
+        for out in backend.generate(BackendRequest("q00000", "p", 20)).samples:
             assert world.questions[0].gold_answer in out.text
 
     def test_empirical_rate_matches_p_star(self):
@@ -121,8 +125,7 @@ class TestSimulatedBackend:
         world = make_world(m=8, sigma=0.0)
         backend = SimulatedBackend(world, run_seed=2)
         for q in world.questions:
-            for s in range(4):
-                out = backend.sample_outcome(q.id, s)
+            for out in backend.generate(BackendRequest(q.id, q.prompt, 4)).samples:
                 recovered = score_to_prob(anll(out.token_logprobs), world.config.world_temperature)
                 assert abs(recovered - world.p_star[world.index[q.id]]) <= 1e-9
 
@@ -131,7 +134,8 @@ class TestSimulatedBackend:
         world = make_world(m=12, rho=1.0, probs=None, seed=5)
         backend = SimulatedBackend(world, run_seed=3)
         for q in world.questions:
-            outcomes = {q.gold_answer in backend.sample_outcome(q.id, s).text for s in range(8)}
+            samples = backend.generate(BackendRequest(q.id, q.prompt, 8)).samples
+            outcomes = {q.gold_answer in out.text for out in samples}
             assert len(outcomes) == 1
 
     def test_zero_correlation_independence_chi_square(self):
@@ -156,8 +160,8 @@ class TestSimulatedBackend:
         world = make_world(m=4)
         b1 = SimulatedBackend(world, run_seed=9)
         b2 = SimulatedBackend(world, run_seed=9)
-        forward = [b1.sample_outcome("q00001", s).text for s in range(6)]
-        backward = [b2.sample_outcome("q00001", s).text for s in reversed(range(6))]
+        forward = [one_sample(b1, "q00001", s).text for s in range(6)]
+        backward = [one_sample(b2, "q00001", s).text for s in reversed(range(6))]
         assert forward == list(reversed(backward))
 
     def test_samples_follow_their_philox_definition_in_any_order(self):
@@ -191,7 +195,7 @@ class TestSimulatedBackend:
 
         pairs = [(q.id, s) for q in world.questions for s in range(6)]
         serial = SimulatedBackend(world, run_seed)
-        expected = {pair: serial.sample_outcome(*pair) for pair in pairs}
+        expected = {pair: one_sample(serial, *pair) for pair in pairs}
         for pair, out in expected.items():
             assert (out.text, out.token_logprobs) == defined(*pair)
         assert judge_classify_all(world.questions, serial) == [
@@ -291,7 +295,7 @@ class TestSimulatedBackend:
         assert sum(size for _, size in bits.reads) <= 4 * 64 * n
         # more than 64 samples are derived in several numpy passes
         alone = SimulatedBackend(world, run_seed=0)
-        assert samples == [alone.sample_outcome("q00300", s) for s in range(2, n + 2)]
+        assert samples == [one_sample(alone, "q00300", s) for s in range(2, n + 2)]
 
     @pytest.mark.parametrize("sigma, rho", [(0.0, 0.0), (0.0, 0.5), (0.15, 0.3)])
     def test_wave_equals_requests_one_at_a_time(self, sigma, rho):
@@ -332,7 +336,7 @@ class TestSimulatedBackend:
         backend = SimulatedBackend(world, run_seed=0)
         requests = [BackendRequest(qid, "p", 2) for qid in ("q00000", "nope", "q00001")]
         outcomes = generate_wave(backend, requests)
-        assert next(outcomes)[1].samples == [backend.sample_outcome("q00000", s) for s in (0, 1)]
+        assert next(outcomes)[1].samples == [one_sample(backend, "q00000", s) for s in (0, 1)]
         with pytest.raises(UnknownQuestionError):
             next(outcomes)
 
@@ -349,14 +353,15 @@ class TestSimulatedBackend:
 
     def test_different_run_seeds_differ(self):
         world = make_world(m=1, probs=[0.5])
-        t1 = [SimulatedBackend(world, run_seed=0).sample_outcome("q00000", s).text for s in range(30)]
-        t2 = [SimulatedBackend(world, run_seed=1).sample_outcome("q00000", s).text for s in range(30)]
-        assert t1 != t2
+        request = BackendRequest("q00000", "p", 30)
+        t1 = SimulatedBackend(world, run_seed=0).generate(request).samples
+        t2 = SimulatedBackend(world, run_seed=1).generate(request).samples
+        assert [out.text for out in t1] != [out.text for out in t2]
 
     def test_unknown_question(self):
         backend = SimulatedBackend(make_world(m=2), run_seed=0)
         with pytest.raises(UnknownQuestionError):
-            backend.sample_outcome("nope", 0)
+            backend.generate(BackendRequest("nope", "p", 1))
 
     def test_generate_counts_samples_and_continues_indices(self):
         world = make_world(m=2)
@@ -364,14 +369,14 @@ class TestSimulatedBackend:
         r1 = backend.generate(BackendRequest("q00000", "prompt", 2, first_sample_index=0))
         r2 = backend.generate(BackendRequest("q00000", "prompt", 3, first_sample_index=2))
         assert backend.generation_samples == 5
-        direct = [backend.sample_outcome("q00000", s).text for s in range(5)]
+        direct = [one_sample(backend, "q00000", s).text for s in range(5)]
         assert [s.text for s in r1.samples] + [s.text for s in r2.samples] == direct
 
     def test_generate_samples(self):
         world = make_world(m=2)
         backend = SimulatedBackend(world, run_seed=0)
         resp = backend.generate(BackendRequest("q00001", "prompt", 3, first_sample_index=1))
-        assert resp.samples == [backend.sample_outcome("q00001", s) for s in (1, 2, 3)]
+        assert resp.samples == [one_sample(backend, "q00001", s) for s in (1, 2, 3)]
         for s in resp.samples:
             assert s.finish_reason == FinishReason.STOP
             assert len(s.token_logprobs) == 8
@@ -394,7 +399,8 @@ class TestJudge:
         q = world.questions[0]
         prompt = JUDGE_PROMPT_TEMPLATE.format(question=q.prompt)
         resp = backend.generate(BackendRequest(q.id, prompt, 2))
-        assert resp.samples == [backend.sample_outcome(q.id, s) for s in (0, 1)]
+        reference = SimulatedBackend(world, run_seed=0)
+        assert resp.samples == reference.generate(BackendRequest(q.id, q.prompt, 2)).samples
         assert backend.generation_samples == 2
         assert backend.judge_calls == 0
         label = backend.generate(BackendRequest(q.id, "any prompt", 1, judge=True))
@@ -455,6 +461,24 @@ class TestResponseCache:
         cache = ResponseCache(tmp_path)
         assert cache.get("0" * 64) is None
         assert cache.misses == 1
+
+    def test_stray_per_key_file_is_ignored(self, tmp_path):
+        key = ResponseCache.make_key("e", "m", "p", {}, 0)
+        stray = tmp_path / f"{key}.json"
+        stray.write_text(json.dumps({"text": "old", "token_logprobs": [], "finish_reason": "stop"}))
+        cache = ResponseCache(tmp_path)
+        assert cache.get(key) is None
+        assert (cache.hits, cache.misses) == (0, 1)
+        cache.put(key, SampleOutput("new", (), FinishReason.STOP))
+        assert ResponseCache(tmp_path).get(key).text == "new"
+        assert json.loads(stray.read_text())["text"] == "old"
+
+    def test_index_is_read_when_the_cache_opens(self, tmp_path):
+        key = ResponseCache.make_key("e", "m", "p", {}, 0)
+        cache = ResponseCache(tmp_path)
+        _plant_entry(tmp_path, key, json.dumps({"text": "late"}))
+        assert cache.get(key) is None
+        assert ResponseCache(tmp_path).get(key).text == "late"
 
     def test_corruption_treated_as_miss(self, tmp_path, caplog):
         cache = ResponseCache(tmp_path)
@@ -598,6 +622,12 @@ for i in range(300):
 def _segments(directory):
     """The cache segments in ``directory``, oldest first."""
     return sorted(Path(directory).glob("*.log"))
+
+
+def _plant_entry(directory, key, text):
+    """Write ``text`` as the entry of ``key`` in a segment of its own, named
+    to sort before any segment a cache creates."""
+    (Path(directory) / f"{0:020d}-0-planted.log").write_text(f"{key}\t{text}\n")
 
 
 def _rewrite_entry(directory, key, text):
@@ -905,12 +935,11 @@ class TestHttpBackend:
 
     def test_unusable_cached_logprobs_replay_as_missing(self, stub_server, tmp_path):
         url, state = stub_server
-        cache = ResponseCache(tmp_path)
-        backend = _http_backend(url, cache=cache)
         req = BackendRequest("q1", "p", 1)
-        (tmp_path / f"{backend._cache_key(req, 0)}.json").write_text(json.dumps({
+        _plant_entry(tmp_path, _http_backend(url)._cache_key(req, 0), json.dumps({
             "text": "\\boxed{1}", "token_logprobs": [-0.1, float("-inf")], "finish_reason": "stop",
         }))
+        backend = _http_backend(url, cache=ResponseCache(tmp_path))
         resp = backend.generate(req)
         assert state.requests == []
         assert resp.samples[0].token_logprobs == ()
@@ -918,12 +947,13 @@ class TestHttpBackend:
     @pytest.mark.parametrize("entry", _MALFORMED_ENTRIES)
     def test_malformed_cache_entry_is_refetched(self, stub_server, tmp_path, entry):
         url, state = stub_server
+        req = BackendRequest("q1", "p", 2)
+        uncached = _http_backend(url)
+        clean = uncached.generate(req)
+        key = uncached._cache_key(req, 0)
+        _plant_entry(tmp_path, key, json.dumps(entry))
         cache = ResponseCache(tmp_path)
         backend = _http_backend(url, cache=cache)
-        req = BackendRequest("q1", "p", 2)
-        clean = _http_backend(url).generate(req)
-        key = backend._cache_key(req, 0)
-        (tmp_path / f"{key}.json").write_text(json.dumps(entry))
         cache.put(backend._cache_key(req, 1), clean.samples[1])
         # the stub answers choice 0 of the one-sample refetch like choice 0 before
         assert backend.generate(req).samples == clean.samples
@@ -1240,24 +1270,6 @@ class TestPhaseWaves:
         assert replay == clean
         assert len(state.requests) == posts + 1
         assert cache.get(doomed) is not None
-
-    def test_replays_a_cache_in_the_per_key_layout(self, stub_server, tmp_path):
-        url, state = stub_server
-        questions = _wave_questions()
-        clean = _result_lines(questions, _http_backend(url, cache=ResponseCache(tmp_path), max_in_flight=4))
-        posts = len(state.requests)
-        # the layout of earlier versions: one <key>.json file per sample,
-        # holding the same entry JSON
-        for segment in _segments(tmp_path):
-            for line in segment.read_text().splitlines():
-                key, entry = line.split("\t")
-                (tmp_path / f"{key}.json").write_text(entry)
-            segment.unlink()
-        cache = ResponseCache(tmp_path)
-        assert _result_lines(questions, _http_backend(url, cache=cache, max_in_flight=4)) == clean
-        assert len(state.requests) == posts
-        assert cache.misses == 0 and cache.hits == 3 * len(questions)
-        assert _segments(tmp_path) == []
 
     @pytest.mark.parametrize(
         "signal, k", [(SignalKind.ANLL, 1), (SignalKind.VCS, 1), (SignalKind.VOTE_ENTROPY, 2)]

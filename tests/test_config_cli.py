@@ -99,11 +99,32 @@ class TestConfigParsing:
         )
         with pytest.raises(ValidationError, match="http.base_url"):
             build_experiment_config(cfg, {})
-        experiment = build_experiment_config(
-            cfg, {"UAB_API_BASE": "http://x", "UAB_MODEL": "m", "UAB_API_KEY": "secret"}
-        )
+        environ = {"UAB_HTTP_BASE_URL": "http://x", "UAB_HTTP_MODEL": "m", "UAB_API_KEY": "secret"}
+        experiment = build_experiment_config(merge_settings(cfg, env_overrides(environ)), environ)
         assert experiment.http.api_key == "secret"
         assert experiment.pipeline.budget.m_questions == 1
+
+    def test_endpoint_env_names_follow_the_section_rule_only(self, tmp_path):
+        qfile = tmp_path / "questions.jsonl"
+        qfile.write_text('{"id": "a", "prompt": "p?"}\n')
+        file_cfg = {"http.base_url": "http://from-file", "http.model": "file-model"}
+        cli_cfg = {"backend.kind": "http", "run.questions": str(qfile)}
+
+        def endpoint(environ):
+            cfg = merge_settings(file_cfg, env_overrides(environ), cli_cfg)
+            http = build_experiment_config(cfg, environ).http
+            return http.base_url, http.model
+
+        assert endpoint({"UAB_HTTP_BASE_URL": "http://from-env", "UAB_HTTP_MODEL": "env-model"}) == (
+            "http://from-env", "env-model"
+        )
+        # the old aliases are not read: the file's values stand
+        assert endpoint({"UAB_API_BASE": "http://from-env", "UAB_MODEL": "env-model"}) == (
+            "http://from-file", "file-model"
+        )
+        environ = {"UAB_API_BASE": "http://from-env", "UAB_MODEL": "env-model"}
+        with pytest.raises(ValidationError, match="needs http.base_url"):
+            build_experiment_config(merge_settings(None, env_overrides(environ), cli_cfg), environ)
 
     def test_load_questions_jsonl(self, tmp_path):
         path = tmp_path / "q.jsonl"
@@ -270,8 +291,8 @@ class TestCli:
         questions = tmp_path / "questions.jsonl"
         questions.write_text("".join(row + "\n" for row in rows))
         # an endpoint is named, so only the questions file can stop the run
-        monkeypatch.setenv("UAB_API_BASE", "http://127.0.0.1:9")
-        monkeypatch.setenv("UAB_MODEL", "m")
+        monkeypatch.setenv("UAB_HTTP_BASE_URL", "http://127.0.0.1:9")
+        monkeypatch.setenv("UAB_HTTP_MODEL", "m")
         rc = self.run_cli(
             "run", "--backend", "http", "--questions", str(questions), "--out", str(tmp_path / "out"),
         )
@@ -345,8 +366,8 @@ class TestCli:
          {"run.seeds": "3,4", "pipeline.policy": "uniform", "pipeline.signal": "vcs", "run.out": "o",
           "budget.n": "5", "budget.temperature": "0.3", "exit.kind": "easy", "exit.theta": "0.4",
           "exit.mode": "skip", "backend.kind": "http", "run.questions": "q.jsonl"}),
-        (["simulate", "--seed", "7", "--policy", "random", "--n", "2", "--exit", "hard"],
-         {"run.seeds": "7", "pipeline.policy": "random", "budget.n": "2", "exit.kind": "hard"}),
+        (["simulate", "--seed", "7", "--n", "2", "--exit", "hard"],
+         {"run.seeds": "7", "budget.n": "2", "exit.kind": "hard"}),
         (["allocate", "--scores", "s.jsonl", "--n", "3", "--temperature", "0.5", "--exit", "easy",
           "--theta", "0.7", "--exit-mode", "skip", "--out", "a.jsonl"],
          {"budget.n": "3", "budget.temperature": "0.5", "exit.kind": "easy", "exit.theta": "0.7",
@@ -367,6 +388,46 @@ class TestCli:
         _, alloc, _ = apply_threshold_exits(probs, 8, ThresholdExitConfig())
         rows = [json.loads(line) for line in out.read_text().splitlines()]
         assert {r["id"]: r["extra_samples"] for r in rows} == dict(alloc.extras)
+
+    def test_simulate_takes_no_policy(self, tmp_path, capsys):
+        out = tmp_path / "sim"
+        with pytest.raises(SystemExit) as exc:
+            self.run_cli("simulate", "--policy", "uniform", "--out", str(out))
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "--policy" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_unwritable_out_file_exits_2_naming_the_path(self, tmp_path, capsys):
+        scores = tmp_path / "scores.jsonl"
+        scores.write_text('{"id": "q1", "p": 0.2}\n{"id": "q2", "p": 0.6}\n')
+        rc = self.run_cli("allocate", "--scores", str(scores), "--budget-effective", "4",
+                          "--out", str(tmp_path))
+        assert rc == 2
+        assert capsys.readouterr() == ("", f"error: {tmp_path}: not a writable file\n")
+
+    @pytest.mark.parametrize("argv", [["run"], ["simulate", "--policies", "uniform"]], ids=["run", "simulate"])
+    def test_out_dir_that_is_a_file_exits_2_naming_the_path(self, tmp_path, capsys, monkeypatch, argv):
+        out = tmp_path / "results"
+        out.write_text("not a directory\n")
+        monkeypatch.setenv("UAB_WORLD_M_QUESTIONS", "20")
+        assert self.run_cli(*argv, "--out", str(out)) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {out}: not a writable directory\n"
+        assert captured.out == ""
+        assert out.read_text() == "not a directory\n"
+
+    @pytest.mark.parametrize("temperature", ["-1", "0", "nan"])
+    def test_bad_allocate_temperature_exits_2_over_p_rows(self, tmp_path, capsys, temperature):
+        scores = tmp_path / "scores.jsonl"
+        scores.write_text('{"id": "q1", "p": 0.2}\n{"id": "q2", "p": 0.6}\n')
+        rc = self.run_cli("allocate", "--scores", str(scores), "--budget-effective", "4",
+                          "--temperature", temperature)
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: temperature must be > 0")
+        assert captured.out == ""
 
     def test_simulate_takes_no_backend(self, tmp_path, capsys, monkeypatch):
         out = tmp_path / "sim"

@@ -1,0 +1,71 @@
+"""Property tests of answer canonicalization, the parse memo and the config
+file format, over generated inputs."""
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from uab.config import parse_config_text
+from uab.core import TaskKind
+from uab.pipeline import canonicalize_answer, parse_answer
+
+#: Fixed examples in a fixed order, and nothing stored between runs.
+_SETTINGS = settings(derandomize=True, database=None, max_examples=100)
+
+_numbers = st.one_of(
+    st.integers(-10**12, 10**12).map(str),
+    st.integers(0, 10**12).map("{:,}".format),
+    st.decimals(-10**6, 10**6, allow_nan=False, allow_infinity=False, places=3).map(str),
+    st.floats(-1e6, 1e6, allow_nan=False).map("{:,.2f}".format),
+)
+_words = st.text(st.characters(blacklist_categories=("Cs",)), max_size=12)
+_letters = st.sampled_from("ABCDEFGHIJabcdefghijKZ")
+#: Digits, signs, separators and trailing punctuation, densely mixed.
+_dense = st.text(st.sampled_from("0123456789-,. ;:!?\tx"), max_size=16)
+
+
+def _boxed(inner):
+    return inner.map(lambda s: "\\boxed{" + s + "}")
+
+
+_atoms = st.recursive(
+    st.one_of(_numbers, _words, _letters, st.sampled_from(["{", "}", "\\boxed{", " ", ".", ","])),
+    lambda inner: st.one_of(
+        _boxed(inner),
+        st.lists(inner, max_size=4).map("".join),
+        inner.map(lambda s: "{" + s + "}"),
+    ),
+    max_leaves=8,
+)
+_texts = st.lists(_atoms, max_size=6).map(" ".join)
+
+
+@_SETTINGS
+@given(st.one_of(_numbers, _dense, _words, _atoms, _texts))
+@example("x. .")
+@example("1" * 5000)
+def test_canonicalize_answer_is_idempotent(raw):
+    once = canonicalize_answer(raw)
+    assert canonicalize_answer(once) == once
+
+
+@_SETTINGS
+@given(st.lists(_texts, max_size=12), st.sampled_from(list(TaskKind)))
+def test_parse_memo_changes_no_answer(texts, task_kind):
+    memo = {}
+    shared = [parse_answer(text, task_kind, memo) for text in texts]
+    assert shared == [parse_answer(text, task_kind) for text in texts]
+    # and again, with every span already in the memo
+    assert shared == [parse_answer(text, task_kind, memo) for text in texts]
+
+
+_keys = st.from_regex(r"[a-z][a-z0-9_]*\.[a-z][a-z0-9_.]*", fullmatch=True)
+#: A value runs to the end of its line or to a ``#``, and is stripped.
+_values = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="#\n\r")).map(str.strip)
+
+
+@_SETTINGS
+@given(st.dictionaries(_keys, _values, max_size=8), st.booleans())
+def test_config_text_round_trips(pairs, commented):
+    comment = "  # note" if commented else ""
+    text = "".join(f"{key} = {value}{comment}\n" for key, value in pairs.items())
+    assert parse_config_text(text) == pairs
