@@ -3,8 +3,8 @@
 Runs the pipeline once per seed, persists per-seed JSONL results plus an
 aggregate CSV row, and reports the metrics the plots are built from. The
 verification suite re-derives the solver guarantees (oracle equivalence, KKT
-certificates, sensitivity bounds, telescoping, simulator inversion) on
-randomized instances and fails loudly on any violation.
+certificates, sensitivity bounds, telescoping, simulator inversion, the heap
+reference) on randomized instances and fails loudly on any violation.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import numpy as np
 
 from .allocation import (
     OPT_TOL,
+    _heap_greedy,
     dp_allocate_exact,
     greedy_allocate,
     regret_bound_check,
@@ -335,6 +336,35 @@ def _check_oracle_equivalence(rng: np.random.Generator) -> CheckResult:
     return CheckResult("oracle_equivalence", worst <= OPT_TOL, count, worst)
 
 
+def _check_greedy_reference(rng: np.random.Generator) -> CheckResult:
+    """The water-filling allocator gives the one-unit-at-a-time heap's
+    allocation exactly, tie and underflow rules included: on random, grid-tied
+    and underflowing instances. ``worst`` counts the instances that differ."""
+    instances = [
+        ({"a": 1e-300, "b": 0.7}, 2000),
+        ({"a": 0.7, "b": 0.9}, 2000),
+        ({"a": 0.0, "b": 1.0, "c": 0.5}, 3000),
+        ({"a": 1e-17, "b": 0.3, "c": 1e-17}, 60),
+        # many units tied at the price, settled by bisection per shared p
+        ({f"q{j}": 1e-30 for j in range(40)}, 500),
+        ({f"q{j}": 1e-12 * (1 + (j % 3) * 1e-13) for j in range(40)}, 500),
+        ({"a": 0.5, "b": 1e-30, "c": 1e-12, "d": 1e-30}, 3000),
+    ]
+    for i in range(600):
+        m = int(rng.integers(1, 40))
+        grid = (None, 10, 100)[i % 3]
+        ps = rng.random(m) if grid is None else rng.integers(0, grid + 1, m) / grid
+        instances.append(({f"q{j}": float(p) for j, p in enumerate(ps)}, int(rng.integers(0, 300))))
+    for _ in range(40):
+        # budgets past the last positive gain, which p(1-p)^n reaches by underflow
+        ps = rng.choice([0.0, 1.0, 0.5, 0.7, 0.9, 0.99], int(rng.integers(1, 5)))
+        instances.append(({f"q{j}": float(p) for j, p in enumerate(ps)}, int(rng.integers(300, 3000))))
+    differ = sum(
+        greedy_allocate(probs, b).extras != _heap_greedy(probs, b).extras for probs, b in instances
+    )
+    return CheckResult("greedy_reference", differ == 0, len(instances), float(differ))
+
+
 def _check_kkt(rng: np.random.Generator) -> CheckResult:
     worst = float("-inf")
     count = 0
@@ -464,6 +494,7 @@ def verify_suite(rng_seed: int = 0, verbose: bool = True) -> VerificationReport:
         _check_telescoping(rng),
         _check_simulator_inversion(rng),
         _check_simulator_waves(rng),
+        _check_greedy_reference(rng),
     ]
     report = VerificationReport(checks)
     if verbose:

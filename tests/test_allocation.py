@@ -3,11 +3,13 @@ import itertools
 import numpy as np
 import pytest
 
+import uab.allocation
 from uab.allocation import (
     ExitKind,
     ExitMode,
     InstanceTooLargeError,
     ThresholdExitConfig,
+    _heap_greedy,
     apply_threshold_exits,
     dp_allocate_exact,
     greedy_allocate,
@@ -308,6 +310,79 @@ class TestSensitivityAndRegret:
             est = {q: float(np.clip(p + rng.uniform(-eps, eps), 0, 1)) for q, p in truth.items()}
             regret, bound = regret_bound_check(truth, est, b)
             assert 0.0 <= regret <= bound + 1e-12
+
+
+class TestWaterFillingEqualsHeap:
+    """The production allocator gives the one-unit-at-a-time heap's allocation
+    exactly: its tie rule (larger gain, then lower index) and its underflow
+    rule (stop at a gain of 0.0, then split the rest evenly)."""
+
+    @pytest.mark.parametrize(
+        "probs,budget",
+        [
+            # p(1-p)^n underflows to 0.0 before the budget is spent
+            ({"a": 1e-300, "b": 0.7}, 2000),
+            ({"a": 0.7, "b": 0.9}, 2000),
+            ({"a": 0.0, "b": 1.0, "c": 0.5}, 3000),
+            ({"a": 5e-324, "b": 0.5}, 1200),
+            # no positive gain at all
+            ({"a": 0.0, "b": 1.0}, 7),
+            ({"a": 1.0}, 3),
+            # equal consecutive float gains
+            ({"a": 1e-17, "b": 0.3, "c": 1e-17}, 60),
+            ({"a": 1e-17}, 40),
+            # more budget than positive-gain units
+            ({"a": 1.0 - 2.0**-53, "b": 0.999, "c": 0.0}, 500),
+            # many units tied at the price: equal tiny p, near-equal tiny p,
+            # and tiny p beside an ordinary one
+            ({f"q{i}": 1e-30 for i in range(50)}, 700),
+            ({f"q{i}": 1e-12 * (1 + (i % 3) * 1e-13) for i in range(30)}, 900),
+            ({"a": 0.5, "b": 1e-30, "c": 1e-30}, 3000),
+            # grid ties
+            ({f"q{i}": 0.5 for i in range(5)}, 23),
+            ({f"q{i}": (i % 3) / 10 + 0.1 for i in range(12)}, 97),
+            ({"a": 0.5, "b": 0.75, "c": 0.25, "d": 0.5}, 40),
+        ],
+    )
+    def test_named_instances(self, probs, budget):
+        assert greedy_allocate(probs, budget).extras == _heap_greedy(probs, budget).extras
+
+    @pytest.fixture
+    def gain_calls(self, monkeypatch):
+        """The exponents of the scalar gains scored from here on."""
+        calls = []
+        original = uab.allocation._gain
+
+        def counting(p, e):
+            calls.append(e)
+            return original(p, e)
+
+        monkeypatch.setattr(uab.allocation, "_gain", counting)
+        return calls
+
+    @pytest.mark.parametrize("grid", [None, 100])
+    def test_scalar_gains_scale_with_questions_not_budget(self, gain_calls, grid):
+        # the heap scores every unit it places, B + M calls; water-filling
+        # rescores only the units tied at the final price
+        m = 1000
+        rng = np.random.default_rng(3)
+        ps = rng.random(m) if grid is None else rng.integers(1, grid, m) / grid
+        alloc = greedy_allocate({f"q{i}": float(p) for i, p in enumerate(ps)}, 1000 * m)
+        assert alloc.total_extras() == 1000 * m
+        assert len(gain_calls) <= 2 * m
+
+    @pytest.mark.parametrize("p", [1e-30, 1e-14, 1e-12, 1e-10])
+    def test_questions_sharing_a_tiny_p_are_settled_once(self, gain_calls, p):
+        # Consecutive gains of such a p differ by less than a numpy estimate
+        # resolves, or not at all, so every question has many units tied at
+        # the price. They are settled by bisection once for the shared p, not
+        # with a scalar gain or an array entry per unit.
+        m, budget = 4000, 16000
+        probs = {f"q{i}": p for i in range(m)}
+        expected = _heap_greedy(probs, budget).extras
+        heap_calls = len(gain_calls)
+        assert greedy_allocate(probs, budget).extras == expected
+        assert len(gain_calls) - heap_calls <= 2 * m
 
 
 class TestThresholdExits:

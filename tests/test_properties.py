@@ -1,11 +1,13 @@
-"""Property tests of answer canonicalization, the parse memo and the config
-file format, over generated inputs."""
+"""Property tests of answer canonicalization, the parse memo, the config
+file format and the water-filling allocator, over generated inputs."""
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from uab.allocation import ExitKind, ExitMode, ThresholdExitConfig, _heap_greedy, apply_threshold_exits
 from uab.config import parse_config_text
-from uab.core import TaskKind
+from uab.core import TaskKind, ValidationError
 from uab.pipeline import canonicalize_answer, parse_answer
 
 #: Fixed examples in a fixed order, and nothing stored between runs.
@@ -69,3 +71,44 @@ def test_config_text_round_trips(pairs, commented):
     comment = "  # note" if commented else ""
     text = "".join(f"{key} = {value}{comment}\n" for key, value in pairs.items())
     assert parse_config_text(text) == pairs
+
+
+#: Continuous probabilities, and the values where gains tie, vanish or
+#: underflow, or differ by less than a numpy estimate resolves.
+_probs = st.lists(
+    st.one_of(
+        st.floats(0.0, 1.0),
+        st.sampled_from([0.0, 1.0, 0.5, 0.7, 0.9, 1e-10, 1e-12, 1e-17, 1e-30, 1e-300, 5e-324]),
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+@_SETTINGS
+@given(
+    _probs,
+    st.one_of(st.integers(0, 60), st.integers(0, 2500)),
+    st.sampled_from(list(ExitKind)),
+    st.sampled_from(list(ExitMode)),
+    st.sampled_from([0.25, 0.5, 0.75]),
+)
+def test_allocation_equals_the_heap_on_the_eligible_questions(ps, budget, kind, mode, theta):
+    probs = {f"q{i}": p for i, p in enumerate(ps)}
+    if kind == ExitKind.NONE:
+        eligible = dict(probs)
+    else:
+        eligible = {q: p for q, p in probs.items() if (p >= theta if kind == ExitKind.HARD else p <= theta)}
+    inner = budget
+    if mode == ExitMode.SKIP and len(eligible) < len(probs):
+        inner = budget * len(eligible) // len(probs)
+    cfg = ThresholdExitConfig(kind, theta, mode)
+    if inner and not eligible:  # a budget with no question to go to
+        with pytest.raises(ValidationError):
+            apply_threshold_exits(probs, budget, cfg)
+        return
+    kept, alloc, saved = apply_threshold_exits(probs, budget, cfg)
+    reference = _heap_greedy(eligible, inner).extras
+    assert kept == set(eligible)
+    assert alloc.extras == {q: reference.get(q, 0) for q in probs}
+    assert saved == budget - inner
