@@ -5,11 +5,12 @@ sum e_i = B is a separable concave knapsack, so assigning units one at a time
 to the largest current marginal gain is exactly optimal. That greedy is
 computed by water-filling: for a price λ, question i has
 floor((log p_i - log λ) / -log(1-p_i)) units whose gain is at least λ, so the
-allocation is one threshold λ* and the units tied near it. Finding λ* costs
-O(M) array work, and the ties are settled with the scalar gains the greedy
-sees, against O(B log M) for one heap pop per unit; the heap stays as the
-reference the allocator is checked against. A small dynamic program serves as
-an independent oracle, a KKT-style certificate checks any allocation for
+allocation is one threshold λ* and the units tied near it. λ* is found by
+halving a price bracket on that count, O(M) array work per halving and no
+sort, and the ties are settled with the scalar gains the greedy sees, against
+O(B log M) for one heap pop per unit; the heap stays as the reference the
+allocator is checked against. A small dynamic program serves as an
+independent oracle, a KKT-style certificate checks any allocation for
 optimality, and the sensitivity helpers bound how much probability estimation
 error can cost.
 """
@@ -121,12 +122,12 @@ def greedy_allocate(probs: Mapping[str, float], budget_effective: int) -> Alloca
     question with the largest current gain p*(1-p)^(1+e), ties going to the
     lowest input index. It is computed by water-filling on the price of a
     unit (:func:`_water_fill`), instead of one heap pop per unit at
-    O(B log M): O(M) array work, one scalar gain per unit tied at the price
-    (at most ``_RUN_MIN`` per question), and a bisection per distinct p whose
-    question holds more tied units than that (tiny p, or a price that has
-    underflowed). Once every residual gain is exactly 0.0 (p in {0, 1}, or
-    p(1-p)^n underflowed), the leftover units are split evenly
-    (:func:`split_evenly`), so the budget is always spent.
+    O(B log M): O(M) array work per halving of a price bracket, one scalar
+    gain per unit tied at the price (at most ``_RUN_MIN`` per question), and
+    a bisection per distinct p whose question holds more tied units than that
+    (tiny p, or a price that has underflowed). Once every residual gain is
+    exactly 0.0 (p in {0, 1}, or p(1-p)^n underflowed), the leftover units
+    are split evenly (:func:`split_evenly`), so the budget is always spent.
     """
     probs = _instance(probs, budget_effective)
     counts = _water_fill(np.fromiter(probs.values(), float, len(probs)), budget_effective)
@@ -143,7 +144,7 @@ _LOG_EPS = 1e-10
 _LOG_SUBNORMAL = math.log(2.0**-1022) + 1.0
 #: Below this estimate the float gain is exactly 0.0, double rounding included.
 _LOG_ZERO = math.log(2.0**-1074) - 8.0
-#: Floor on -log1p(-p) where the bracket divides by it, so no sum overflows.
+#: Floor on -log1p(-p) where a count divides by it, so no count is inf or nan.
 _NC_FLOOR = 1e-200
 #: A question with more units than this near the final price (p below about
 #: 2e-10, or a price in the subnormal range) is settled by bisection on its
@@ -192,29 +193,14 @@ def _positive_counts(p: np.ndarray, budget: int) -> Tuple[np.ndarray, int]:
         units = np.subtract.outer(prices, lp) * inv
         return np.minimum(np.maximum(units, 0.0), budget).astype(np.int64)
 
-    # Bracket: the continuous relaxation, where question i holds
-    # (log p_i - L) / -log1p(-p_i) units at log price L, solved for budget -/+ n.
-    # Each question's floor loses less than one unit, so the units between the
-    # two prices, the band, hold the budget's last unit and about 2n others.
-    order = lp.argsort()[::-1]
-    ls, ws = lp[order], inv[order]
-    s0 = np.add.accumulate(ws)
-    s1 = np.add.accumulate(ws * ls)
-    # At L = ls[j] the relaxation holds ls[j]*s0[j] - s1[j] units, rising with
-    # j from 0; between ls[j-1] and ls[j] it holds units at L = (s1 + units) / s0.
-    targets = (budget + n, max(budget - n, 0))
-    j_lo, j_hi = (ls * s0 - s1).searchsorted(targets, "right").tolist()
-    price_lo, price_hi = sorted(
-        max((s1.item(j - 1) + t) / s0.item(j - 1), _LOG_ZERO) for j, t in zip((j_lo, j_hi), targets)
-    )
-    rows = held([price_lo, price_hi])
-    top, base = rows[0], rows[1]
-    s_top, s_base = np.add.reduce(rows, axis=1).tolist()
-    # Rounding can defeat the relaxation, where -log1p(-p) is tiny against
-    # log p: fewer than the budget must lie above price_hi, and the budget
-    # above price_lo unless fewer units than that have a positive gain.
-    if s_base >= budget:
-        price_hi, base, s_base = float(ls[0]), np.zeros(n, dtype=np.int64), 0
+    # Bracket: no unit is estimated above the largest log p, and at price_lo
+    # the question whose unit budget+1 is estimated highest holds the budget
+    # by itself. Rounding defeats that where -log1p(-p) is tiny against log p;
+    # then the budget lies above _LOG_ZERO unless fewer units have a positive gain.
+    price_hi, base, s_base = float(np.maximum.reduce(lp)), np.zeros(n, dtype=np.int64), 0
+    price_lo = max(float(np.maximum.reduce(lp + (budget + 1) * c)), _LOG_ZERO)
+    (top,) = held([price_lo])
+    s_top = int(np.add.reduce(top))
     if s_top < budget:
         price_lo, (top,) = _LOG_ZERO, held([_LOG_ZERO])
         s_top = int(np.add.reduce(top))

@@ -97,6 +97,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     cfg = _merged_settings(args)
     experiment = build_experiment_config(cfg, os.environ)
     _check_writable(experiment.output_dir, directory=True)
+    # only the HTTP backend opens http.cache_dir
+    _check_writable(experiment.cache_dir if experiment.backend_kind == "http" else None, directory=True)
     try:
         report = run_experiment(experiment)
     except PartialRunError as exc:
@@ -222,6 +224,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_judge(args: argparse.Namespace) -> int:
     _check_writable(args.out_file, directory=False)
     experiment = build_experiment_config(_merged_settings(args), os.environ)
+    # only the HTTP backend opens http.cache_dir
+    _check_writable(experiment.cache_dir if experiment.backend_kind == "http" else None, directory=True)
     world, questions = experiment_inputs(experiment)
     backend = build_backend(experiment, world, seed=0)
     labels = judge_classify_all(questions, backend)

@@ -13,7 +13,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, NamedTuple, Optional
+from typing import Iterable, Mapping, NamedTuple, Optional
 
 
 class ValidationError(ValueError):
@@ -243,6 +243,18 @@ def coverage_objective(alloc: AllocationVector, probs: Mapping[str, float]) -> f
             raise MissingProbabilityError(qid)
         p = check_prob(probs[qid], qid)
         total += 1.0 - residual_failure_power(p, 1 + extras)
+    return total
+
+
+def left_sum(values: Iterable[float]) -> float:
+    """``values`` added one after another from the left, in floats.
+
+    ``sum()`` does this before Python 3.12 and compensates the rounding from
+    3.12 on, so results summed with it would differ between Python versions.
+    """
+    total = 0.0
+    for x in values:
+        total += x
     return total
 
 

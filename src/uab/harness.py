@@ -44,6 +44,7 @@ from .core import (
     QuestionRecord,
     ValidationError,
     coverage_objective,
+    left_sum,
     marginal_gain,
 )
 from .pipeline import PipelineConfig, run_two_phase
@@ -99,13 +100,13 @@ def pearson_r(x: Sequence[float], y: Sequence[float]) -> float:
     n = len(x)
     if n < 2:
         raise ValidationError("need at least two points")
-    mx = sum(x) / n
-    my = sum(y) / n
-    sxx = sum((a - mx) ** 2 for a in x)
-    syy = sum((b - my) ** 2 for b in y)
+    mx = left_sum(x) / n
+    my = left_sum(y) / n
+    sxx = left_sum((a - mx) ** 2 for a in x)
+    syy = left_sum((b - my) ** 2 for b in y)
     if sxx == 0 or syy == 0:
         raise ValidationError("undefined correlation: zero variance input")
-    sxy = sum((a - mx) * (b - my) for a, b in zip(x, y))
+    sxy = left_sum((a - mx) * (b - my) for a, b in zip(x, y))
     return sxy / math.sqrt(sxx * syy)
 
 
@@ -256,12 +257,14 @@ def run_experiment(config: ExperimentConfig) -> MetricReport:
         deciles = [float(np.mean([pooled[i][2] for i in chunk])) for chunk in bins]
 
     acc_arr = np.asarray(accs, dtype=float)
+    # seeds without a graded question have a NaN accuracy and are left out
+    graded_seeds = not np.isnan(acc_arr).all()
     report = MetricReport(
         policy=config.pipeline.policy.value,
         n_per_question=config.pipeline.budget.n_per_question,
         seed_count=completed,
-        accuracy_mean=float(np.nanmean(acc_arr)) if len(acc_arr) else float("nan"),
-        accuracy_std=float(np.nanstd(acc_arr)) if len(acc_arr) else float("nan"),
+        accuracy_mean=float(np.nanmean(acc_arr)) if graded_seeds else float("nan"),
+        accuracy_std=float(np.nanstd(acc_arr)) if graded_seeds else float("nan"),
         coverage_mean=float(np.mean(coverages)),
         samples_issued=issued_total,
         budget_saved_pct=float(np.mean(saved_pcts)),

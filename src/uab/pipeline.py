@@ -43,6 +43,7 @@ from .core import (
     SignalKind,
     TaskKind,
     ValidationError,
+    left_sum,
 )
 from .signals import LOGPROB_SIGNALS
 
@@ -268,7 +269,7 @@ def estimate_difficulties(
                 estimates[q.id] = _fallback_estimate(q.id, signal_kind, temperature,
                                                      "no usable logprobs in Phase 1")
                 continue
-            score = sum(signals.logprob_score(signal_kind, lps) for lps in scored) / len(scored)
+            score = left_sum(signals.logprob_score(signal_kind, lps) for lps in scored) / len(scored)
             prob = signals.score_to_prob(score, temperature)
             estimates[q.id] = DifficultyEstimate(q.id, score, prob, signal_kind)
         elif signal_kind == SignalKind.VCS:

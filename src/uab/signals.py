@@ -12,7 +12,7 @@ import re
 from collections import Counter
 from typing import Sequence
 
-from .core import SignalKind, ValidationError
+from .core import SignalKind, ValidationError, left_sum
 
 #: Probability substituted when a verbalized confidence rating cannot be
 #: parsed: the maximum-uncertainty midpoint.
@@ -43,19 +43,19 @@ def _checked_nlls(token_logprobs: Sequence[float]) -> list[float]:
 def anll(token_logprobs: Sequence[float]) -> float:
     """Average negative log-likelihood of a generation (per-token mean)."""
     nlls = _checked_nlls(token_logprobs)
-    return sum(nlls) / len(nlls)
+    return left_sum(nlls) / len(nlls)
 
 
 def total_nll(token_logprobs: Sequence[float]) -> float:
     """Sum of per-token negative log-likelihoods (length-sensitive)."""
-    return sum(_checked_nlls(token_logprobs))
+    return left_sum(_checked_nlls(token_logprobs))
 
 
 def token_var(token_logprobs: Sequence[float]) -> float:
     """Population variance of per-token NLLs (divides by L, defined for L=1)."""
     nlls = _checked_nlls(token_logprobs)
-    mean = sum(nlls) / len(nlls)
-    return sum((x - mean) ** 2 for x in nlls) / len(nlls)
+    mean = left_sum(nlls) / len(nlls)
+    return left_sum((x - mean) ** 2 for x in nlls) / len(nlls)
 
 
 def max_token_nll(token_logprobs: Sequence[float]) -> float:

@@ -418,6 +418,24 @@ class TestCli:
         assert captured.out == ""
         assert out.read_text() == "not a directory\n"
 
+    @pytest.mark.parametrize("command", ["run", "judge"])
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "under_a_file"])
+    def test_cache_dir_that_is_a_file_exits_2_naming_the_path(self, tmp_path, capsys, monkeypatch, command, under):
+        questions = tmp_path / "questions.jsonl"
+        questions.write_text('{"id": "a", "prompt": "p?"}\n')
+        blocker = tmp_path / "cache"
+        blocker.write_text("not a directory\n")
+        cache = blocker / "sub" if under else blocker
+        monkeypatch.setenv("UAB_HTTP_BASE_URL", "http://127.0.0.1:9")
+        monkeypatch.setenv("UAB_HTTP_MODEL", "m")
+        monkeypatch.setenv("UAB_HTTP_CACHE_DIR", str(cache))
+        out = tmp_path / ("out" if command == "run" else "labels.jsonl")
+        rc = self.run_cli(command, "--backend", "http", "--questions", str(questions), "--out", str(out))
+        assert rc == 2
+        assert capsys.readouterr() == ("", f"error: {cache}: not a writable directory\n")
+        assert blocker.read_text() == "not a directory\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("temperature", ["-1", "0", "nan"])
     def test_bad_allocate_temperature_exits_2_over_p_rows(self, tmp_path, capsys, temperature):
         scores = tmp_path / "scores.jsonl"

@@ -2,6 +2,8 @@ import csv
 import hashlib
 import itertools
 import json
+import math
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -19,6 +21,7 @@ from uab.harness import (
 )
 from uab.pipeline import PipelineConfig, Policy
 from uab.allocation import ExitKind, ExitMode, ThresholdExitConfig
+from uab import pipeline, signals
 
 
 def make_config(tmp_path, policy=Policy.UAB, m=40, n=4, seeds=(0, 1, 2), **pipeline_kw):
@@ -175,6 +178,29 @@ class TestRunExperiment:
         with pytest.raises(ValidationError):
             make_config(tmp_path, seeds=())
 
+    @pytest.mark.parametrize("ungraded_seeds", [(0, 1), (1,)], ids=["none_graded", "one_graded"])
+    def test_accuracy_over_graded_seeds_without_warnings(self, tmp_path, monkeypatch, ungraded_seeds):
+        import uab.harness as harness_mod
+
+        real = harness_mod.run_two_phase
+
+        def without_gold(questions, backend, cfg):
+            if cfg.rng_seed in ungraded_seeds:
+                questions = [q._replace(gold_answer=None) for q in questions]
+            return real(questions, backend, cfg)
+
+        monkeypatch.setattr(harness_mod, "run_two_phase", without_gold)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = run_experiment(make_config(tmp_path, seeds=(0, 1)))
+        if ungraded_seeds == (0, 1):
+            assert all(math.isnan(a) for a in report.per_seed_accuracy)
+            assert math.isnan(report.accuracy_mean) and math.isnan(report.accuracy_std)
+        else:
+            graded, ungraded = report.per_seed_accuracy
+            assert math.isnan(ungraded)
+            assert (report.accuracy_mean, report.accuracy_std) == (graded, 0.0)
+
     def test_partial_seed_failure_reports_completed(self, tmp_path, monkeypatch):
         import uab.harness as harness_mod
         from uab.harness import PartialRunError
@@ -250,6 +276,23 @@ class TestTranscripts:
         for seed in (0, 1):
             digest.update((tmp_path / f"uab_seed{seed}.jsonl").read_bytes())
         assert digest.hexdigest() == GOLDEN_DIGESTS[rho, signal]
+
+    @pytest.mark.parametrize("rho", [0.0, 0.3])
+    def test_anll_digest_does_not_depend_on_sum(self, tmp_path, monkeypatch, rho):
+        for module in (signals, pipeline):
+            monkeypatch.setattr(module, "sum", _compensated_sum, raising=False)
+        self.test_golden_results_digest(tmp_path, rho, SignalKind.ANLL)
+
+
+def _compensated_sum(values, start=0):
+    """``sum()`` over floats as Python 3.12 adds them: Neumaier's compensated
+    summation, the compensation added once at the end."""
+    total, comp = float(start), 0.0
+    for x in values:
+        t = total + x
+        comp += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+    return total + comp if comp and math.isfinite(comp) else total
 
 
 def _reference_line(result) -> str:

@@ -64,6 +64,14 @@ class TestOtherLogprobSignals:
     def test_token_var_single_token_defined(self):
         assert token_var([-0.7]) == 0.0
 
+    def test_sums_add_from_the_left_on_every_python(self):
+        # a compensated sum, as sum() adds floats from Python 3.12 on, would
+        # give 0.1, 1.0 and 0.0
+        tenths = (-0.1,) * 10
+        assert anll(tenths) == 0.09999999999999999
+        assert total_nll(tenths) == 0.9999999999999999
+        assert token_var(tenths) == 1.925929944387236e-34
+
     def test_max_token_nll(self):
         assert max_token_nll([-0.2, -3.0, -0.4]) == pytest.approx(3.0, abs=1e-12)
 
