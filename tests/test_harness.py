@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -260,6 +261,29 @@ GOLDEN_DIGESTS = {
     (0.3, SignalKind.VOTE_ENTROPY): "1e3f7036cc2c51326bfe0a708bc64d2307c5c758ab32faf3120cb3edf90bbb95",
 }
 
+#: Two hundred fixed success probabilities in a scrambled order: four chunks
+#: of the simulator's 64 questions, the last one partial.
+GOLDEN_RUN_PROBS = tuple((i * 137 % 200 + 0.5) / 200 for i in range(200))
+
+#: (signal noise sigma, correlation rho) of each golden world.
+GOLDEN_WORLDS = {"noiseless": (0.0, 0.0), "noisy": (0.15, 0.3)}
+
+#: SHA-256 of a whole run_experiment over seeds 0-2, for each (world, policy,
+#: signal): the three results JSONL files, aggregate.csv and the repr of the
+#: MetricReport's fields, pearson and deciles included. The noise is computed
+#: with math from Philox uniforms, so these do not depend on numpy's
+#: distribution code either.
+GOLDEN_RUN_DIGESTS = {
+    ("noiseless", "llm_judge", "anll"): "b938e02cc59efe8e7b195217b8b4b98f519a6e762afe056f4df1261342800d15",
+    ("noiseless", "uab", "anll"): "5522db3d52d9761c96282a6704a4c1053ca8f2d8c71500ce2e475350c54f497c",
+    ("noiseless", "uab", "vcs"): "0666dbefd75f419e6416611b0f262b99cd0d6875010cb0b299fa19d9c29e98b0",
+    ("noiseless", "uab", "vote_entropy"): "e13284acebb49b3535f0deb825ed7d8dcafec1bd1d8391d6a86b40160a63c795",
+    ("noisy", "llm_judge", "anll"): "e1800b248843d6a92a1edfc66aee21dc0421799993cc75b3cebfa96de04a7948",
+    ("noisy", "uab", "anll"): "2a6f9f21024e60500ef3eeb487b3a31273be7954c51d5e84131c3f04d4ac7e38",
+    ("noisy", "uab", "vcs"): "272a5f4673fe7c009015a6b15bd7b57ddb7b74e3b9b94acad68d935860097786",
+    ("noisy", "uab", "vote_entropy"): "8c03c1ca49a2e9cbac4c90b4e6dafed56af8ef150df3f69c7bdf8a57bc74c36a",
+}
+
 
 class TestTranscripts:
     @pytest.mark.parametrize("rho, signal", sorted(GOLDEN_DIGESTS, key=lambda key: (key[0], key[1].value)))
@@ -282,6 +306,26 @@ class TestTranscripts:
         for module in (signals, pipeline):
             monkeypatch.setattr(module, "sum", _compensated_sum, raising=False)
         self.test_golden_results_digest(tmp_path, rho, SignalKind.ANLL)
+
+    @pytest.mark.parametrize("world, policy, signal", sorted(GOLDEN_RUN_DIGESTS))
+    def test_golden_run_digest(self, tmp_path, world, policy, signal):
+        sigma, rho = GOLDEN_WORLDS[world]
+        k = 2 if signal == SignalKind.VOTE_ENTROPY else 1
+        config = ExperimentConfig(
+            pipeline=PipelineConfig(budget=BudgetSpec(4, 200), signal_kind=SignalKind(signal), phase1_samples_k=k,
+                                    policy=Policy(policy)),
+            world=WorldConfig(m_questions=200, prob_law=FixedProbs(GOLDEN_RUN_PROBS), signal_noise_sigma=sigma,
+                              correlation_rho=rho, rng_seed=11),
+            seeds=(0, 1, 2),
+            output_dir=tmp_path,
+        )
+        report = run_experiment(config)
+        digest = hashlib.sha256()
+        for seed in (0, 1, 2):
+            digest.update((tmp_path / f"{policy}_seed{seed}.jsonl").read_bytes())
+        digest.update((tmp_path / "aggregate.csv").read_bytes())
+        digest.update(repr(dataclasses.astuple(report)).encode())
+        assert digest.hexdigest() == GOLDEN_RUN_DIGESTS[world, policy, signal]
 
 
 def _compensated_sum(values, start=0):
