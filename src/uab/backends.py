@@ -71,6 +71,10 @@ SIM_TOKEN_COUNT = 8
 #: Floor applied before taking logs of a success probability.
 SIM_PROB_FLOOR = 1e-9
 
+#: Builds a NamedTuple record from a tuple of fields that are known to be
+#: valid, without the Python-level ``__new__`` of the class.
+_new_tuple = tuple.__new__
+
 
 class UnknownQuestionError(ValidationError):
     def __init__(self, question_id: str):
@@ -160,20 +164,23 @@ class SimulatedWorld:
         self.p_star: np.ndarray = self._draw_probs(config, rng)
         self.p_star.setflags(write=False)
 
-        self.questions: List[QuestionRecord] = []
-        self.index: Dict[str, int] = {}
-        for i in range(config.m_questions):
-            qid = f"q{i:05d}"
-            # prompt lengths vary with index only, so prompt length is an
-            # uninformative difficulty proxy, like real benchmarks mostly are
-            prompt = (
-                f"Problem {i}: evaluate the expression and give the final answer."
-                + " Show work." * (i % 5)
-            )
-            self.questions.append(
-                QuestionRecord(id=qid, prompt=prompt, gold_answer=str(100 + i), task_kind=TaskKind.OPEN_MATH)
-            )
-            self.index[qid] = i
+        m = config.m_questions
+        ids = [f"q{i:05d}" for i in range(m)]
+        # prompt lengths vary with index only, so prompt length is an
+        # uninformative difficulty proxy, like real benchmarks mostly are
+        tails = [" Show work." * r for r in range(5)]
+        # every field is a string made here, so the records skip the
+        # constructor's checks
+        self.questions: List[QuestionRecord] = [
+            _new_tuple(QuestionRecord, (
+                qid,
+                f"Problem {i}: evaluate the expression and give the final answer.{tails[i % 5]}",
+                str(100 + i),
+                TaskKind.OPEN_MATH,
+            ))
+            for i, qid in enumerate(ids)
+        ]
+        self.index: Dict[str, int] = dict(zip(ids, range(m)))
 
     @staticmethod
     def _draw_probs(config: WorldConfig, rng: np.random.Generator) -> np.ndarray:
@@ -271,12 +278,18 @@ def _noise(sigma: float, u: float, v: float) -> float:
 
 def _sim_signal(perceived_p: float, world_temperature: float) -> Tuple[Tuple[float, ...], int]:
     """Token logprobs and verbal confidence of a sample whose question the
-    model perceives as solvable with probability ``perceived_p``."""
-    noisy_p = min(max(perceived_p, SIM_PROB_FLOOR), 1.0)
-    anll_value = -world_temperature * math.log(noisy_p)
-    confidence = int(round(10 * min(max(perceived_p, 0.0), 1.0)))
-    confidence = min(10, max(1, confidence))
-    return (-anll_value,) * SIM_TOKEN_COUNT, confidence
+    model perceives as solvable with probability ``perceived_p``: its logprobs
+    encode ``perceived_p`` clipped to [SIM_PROB_FLOOR, 1], its confidence
+    ``10 * perceived_p`` clipped to [0, 10], rounded, and then to [1, 10]."""
+    p = perceived_p
+    anll_value = -world_temperature * math.log(SIM_PROB_FLOOR if p < SIM_PROB_FLOOR else 1.0 if p > 1.0 else p)
+    confidence = round(10 * (0.0 if p < 0.0 else 1.0 if p > 1.0 else p))
+    return (-anll_value,) * SIM_TOKEN_COUNT, 1 if confidence < 1 else 10 if confidence > 10 else confidence
+
+
+def _sample_text(boxed: str, confidence: int) -> str:
+    """A simulated sample's text, from its boxed answer and its confidence."""
+    return f"The final answer is \\boxed{{{boxed}}}. Confidence: {confidence}"
 
 
 #: What :meth:`SimulatedBackend._chunks` derives for the questions of a chunk:
@@ -321,8 +334,10 @@ class SimulatedBackend:
     later requests look them up. So a request's samples depend on the request
     only, whatever order requests come in, and a wave that asks every
     question for one index, such as Phase 1, costs one draw per chunk. In a
-    noiseless world a sample depends on its question and answer only, so
-    each such pair is one shared immutable :class:`SampleOutput`.
+    noiseless world a sample depends on its question and answer only: the
+    samples live in one table by question and answer, each pair one shared
+    immutable :class:`SampleOutput` built on first use, so a sample costs one
+    lookup in it.
     """
 
     #: The one bit generator and the chunk memo are shared by every call, so
@@ -357,6 +372,8 @@ class SimulatedBackend:
         #: and noiseless signals by question, each built on first use.
         self._outputs: List[Optional[SampleOutput]] = [None] * (m * (cfg.n_distractors + 1))
         self._signals: List[Optional[Tuple[Tuple[float, ...], int]]] = [None] * m
+        #: Distractor texts by confidence, by answer (:meth:`_text`).
+        self._wrong_texts: Dict[int, List[str]] = {}
         #: :meth:`_chunks`'s values, by ``(lane, index, chunk)``.
         self._memo: Dict[Tuple[int, int, int], _Chunk] = {}
 
@@ -386,7 +403,8 @@ class SimulatedBackend:
         count = min(_CHUNK, cfg.m_questions - first)
         for lo in range(0, len(missing), _CHUNK):
             part = missing[lo:lo + _CHUNK]
-            u = _uniform(np.stack([self._blocks(lane, index, first, count) for index in part]))
+            blocks = [self._blocks(lane, index, first, count) for index in part]
+            u = _uniform(blocks[0][None] if len(blocks) == 1 else np.stack(blocks))
             answers = noise = [None] * len(part)
             if lane == _LANE_SAMPLE:
                 n = cfg.n_distractors
@@ -397,35 +415,30 @@ class SimulatedBackend:
             memo.update(((lane, index, chunk), entry) for index, entry in zip(part, zip(answers, noise)))
         return [memo[lane, index, chunk] for index in indices]
 
-    def _index(self, qid: str) -> int:
-        index = self.world.index.get(qid)
-        if index is None:
-            raise UnknownQuestionError(qid)
-        return index
-
-    def _output(self, question: int, answer: int, signal: Tuple[Tuple[float, ...], int]) -> SampleOutput:
-        """A sample of ``question`` naming distractor ``answer``, or the gold
-        answer when ``answer`` is ``n_distractors``, with ``signal`` from
-        :func:`_sim_signal`."""
-        token_logprobs, confidence = signal
-        if answer == self.world.config.n_distractors:
-            text = self.world.questions[question].gold_answer
-        else:
-            text = f"wrong_{answer}"
-        return SampleOutput(
-            f"The final answer is \\boxed{{{text}}}. Confidence: {confidence}", token_logprobs, FinishReason.STOP
-        )
+    def _text(self, question: int, answer: int, confidence: int) -> str:
+        """The text of a sample of ``question`` at ``confidence`` naming
+        distractor ``answer``, or the gold answer when ``answer`` is
+        ``n_distractors``. The distractor texts are shared by every question."""
+        n = self.world.config.n_distractors
+        if answer == n:
+            return _sample_text(self.world.questions[question].gold_answer, confidence)
+        wrong = self._wrong_texts.get(confidence)
+        if wrong is None:
+            wrong = self._wrong_texts[confidence] = [_sample_text(f"wrong_{a}", confidence) for a in range(n)]
+        return wrong[answer]
 
     def _shared_output(self, key: int) -> SampleOutput:
         """The noiseless sample ``question * (n_distractors + 1) + answer``,
-        built on first use; each question's signal is computed once."""
-        cfg = self.world.config
-        question, answer = divmod(key, cfg.n_distractors + 1)
+        built and kept; each question's signal is computed once."""
+        question, answer = divmod(key, self.world.config.n_distractors + 1)
         signal = self._signals[question]
         if signal is None:
             p = float(self.world.p_star[question])
-            signal = self._signals[question] = _sim_signal(p, cfg.world_temperature)
-        output = self._outputs[key] = self._output(question, answer, signal)
+            signal = self._signals[question] = _sim_signal(p, self.world.config.world_temperature)
+        token_logprobs, confidence = signal
+        output = self._outputs[key] = _new_tuple(
+            SampleOutput, (self._text(question, answer, confidence), token_logprobs, FinishReason.STOP)
+        )
         return output
 
     def _samples(self, question: int, first: int, count: int) -> List[SampleOutput]:
@@ -442,15 +455,14 @@ class SimulatedBackend:
                 for answers, _ in drawn
             ]
         p = float(self.world.p_star[question])
-        return [
-            self._output(
-                question, answers[offset], _sim_signal(p + _noise(sigma, *noise[offset]), cfg.world_temperature)
-            )
-            for answers, noise in drawn
-        ]
+        samples = []
+        for answers, noise in drawn:
+            token_logprobs, confidence = _sim_signal(p + _noise(sigma, *noise[offset]), cfg.world_temperature)
+            text = self._text(question, answers[offset], confidence)
+            samples.append(_new_tuple(SampleOutput, (text, token_logprobs, FinishReason.STOP)))
+        return samples
 
-    def _judge_response(self, qid: str) -> str:
-        question = self._index(qid)
+    def _judge_response(self, question: int) -> str:
         perceived = float(self.world.p_star[question])
         sigma = self.world.config.signal_noise_sigma
         if sigma:
@@ -460,13 +472,16 @@ class SimulatedBackend:
         return "easy" if min(max(perceived, 0.0), 1.0) > 0.5 else "hard"
 
     def generate(self, request: BackendRequest) -> BackendResponse:
+        question = self.world.index.get(request.question_id)
+        if question is None:
+            raise UnknownQuestionError(request.question_id)
         if request.judge:
-            label = self._judge_response(request.question_id)
+            label = self._judge_response(question)
             self.judge_calls += 1
             return BackendResponse(samples=[SampleOutput(label, (), FinishReason.STOP)] * request.sample_count)
-        samples = self._samples(self._index(request.question_id), request.first_sample_index, request.sample_count)
+        samples = self._samples(question, request.first_sample_index, request.sample_count)
         self.generation_samples += request.sample_count
-        return BackendResponse(samples=samples)
+        return _new_tuple(BackendResponse, (samples,))
 
 
 def _usable_logprobs(logprobs: Tuple[float, ...]) -> Tuple[float, ...]:

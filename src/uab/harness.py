@@ -111,6 +111,7 @@ def pearson_r(x: Sequence[float], y: Sequence[float]) -> float:
 
 
 _encode_str = json.encoder.encode_basestring_ascii
+_INF = math.inf
 
 
 def _json_value(value) -> str:
@@ -136,22 +137,27 @@ def _json_value(value) -> str:
 def result_json_line(result) -> str:
     """Fixed-order JSON line for one ExperimentResult: the bytes of
     ``json.dumps`` of its seven fields with ``ensure_ascii=True`` and
-    ``separators=(",", ":")``."""
-    difficulty = result.difficulty
+    ``separators=(",", ":")``. The field types a result holds are written
+    inline; any other value goes through :func:`_json_value`."""
+    qid, final, correct, used = result.question_id, result.final_answer, result.correct, result.samples_used
+    policy, score, prob = result.policy, result.difficulty.score, result.difficulty.prob
+    qid = _encode_str(qid) if type(qid) is str else _json_value(qid)
+    policy = _encode_str(policy) if type(policy) is str else _json_value(policy)
+    final = _encode_str(final) if type(final) is str else _json_value(final)
+    correct = "true" if correct is True else "false" if correct is False else _json_value(correct)
+    used = int.__repr__(used) if type(used) is int else _json_value(used)
+    score = float.__repr__(score) if type(score) is float and -_INF < score < _INF else _json_value(score)
+    prob = float.__repr__(prob) if type(prob) is float and -_INF < prob < _INF else _json_value(prob)
     return (
-        f'{{"question_id":{_json_value(result.question_id)},"policy":{_json_value(result.policy)},'
-        f'"final_answer":{_json_value(result.final_answer)},"correct":{_json_value(result.correct)},'
-        f'"samples_used":{_json_value(result.samples_used)},"anll":{_json_value(difficulty.score)},'
-        f'"p_i":{_json_value(difficulty.prob)}}}'
+        f'{{"question_id":{qid},"policy":{policy},"final_answer":{final},"correct":{correct},'
+        f'"samples_used":{used},"anll":{score},"p_i":{prob}}}'
     )
 
 
 def write_results_jsonl(results, path: Path) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for result in results:
-            fh.write(result_json_line(result))
-            fh.write("\n")
+        fh.writelines(f"{result_json_line(result)}\n" for result in results)
 
 
 def append_aggregate_row(report: MetricReport, path: Path) -> None:
@@ -252,9 +258,10 @@ def run_experiment(config: ExperimentConfig) -> MetricReport:
 
     deciles: Optional[List[float]] = None
     if len(pooled) >= 10:
-        order = sorted(range(len(pooled)), key=lambda i: (pooled[i][0], i))
-        bins = np.array_split(np.asarray(order), 10)
-        deciles = [float(np.mean([pooled[i][2] for i in chunk])) for chunk in bins]
+        # a stable sort: equal scores keep pooled order
+        order = np.argsort(np.array([score for score, _, _ in pooled]), kind="stable")
+        extras_pooled = np.array([extras for _, _, extras in pooled])
+        deciles = [float(np.mean(extras_pooled[chunk])) for chunk in np.array_split(order, 10)]
 
     acc_arr = np.asarray(accs, dtype=float)
     # seeds without a graded question have a NaN accuracy and are left out

@@ -202,6 +202,26 @@ def parse_answer(text: str, task_kind: TaskKind, memo: Optional[Dict[str, str]] 
     return _canonical(span, memo) or None
 
 
+def _add_votes(counts: Dict[str, int], answers: Sequence[Optional[str]]) -> None:
+    """Count each answer's vote in ``counts``, which keeps first-vote order;
+    abstentions (None) do not vote."""
+    for answer in answers:
+        if answer is not None:
+            counts[answer] = counts.get(answer, 0) + 1
+
+
+def _winner(counts: Mapping[str, int]) -> str:
+    """The answer with the top count; ties break to the byte-order earliest
+    string. Raises :class:`NoVotesError` when there are no votes."""
+    winner, top = None, 0
+    for answer, count in counts.items():
+        if count > top or (count == top and answer < winner):
+            winner, top = answer, count
+    if winner is None:
+        raise NoVotesError("no votes")
+    return winner
+
+
 def majority_vote(parsed_answers: Sequence[Optional[str]]) -> VoteTally:
     """Most frequent answer; ties break to the byte-order earliest string.
 
@@ -209,21 +229,17 @@ def majority_vote(parsed_answers: Sequence[Optional[str]]) -> VoteTally:
     sample abstained.
     """
     counts: Dict[str, int] = {}
-    for answer in parsed_answers:
-        if answer is not None:
-            counts[answer] = counts.get(answer, 0) + 1
-    if not counts:
-        raise NoVotesError("no votes")
-    top = max(counts.values())
-    winner = min(a for a, c in counts.items() if c == top)
-    return VoteTally(counts, winner)
+    _add_votes(counts, parsed_answers)
+    return VoteTally(counts, _winner(counts))
 
 
-def _answer(sample: SampleOutput, task_kind: TaskKind, memo: Dict[str, str]) -> Optional[str]:
-    """The answer ``sample`` votes for; None, an abstention, when it errored."""
-    if sample.finish_reason == FinishReason.ERROR:
-        return None
-    return parse_answer(sample.text, task_kind, memo)
+def _answers(samples: Sequence[SampleOutput], task_kind: TaskKind, memo: Dict[str, str]) -> List[Optional[str]]:
+    """The answer each sample votes for; None, an abstention, for one that
+    errored."""
+    return [
+        None if sample.finish_reason == FinishReason.ERROR else parse_answer(sample.text, task_kind, memo)
+        for sample in samples
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -257,45 +273,63 @@ def estimate_difficulties(
     """Turn Phase-1 outputs into per-question success-probability estimates.
 
     ``phase1_answers`` holds, by question, the answers of ``phase1_samples``
-    as :func:`_answer` gives them; vote entropy reads them there rather than
-    parse the samples again.
+    as :func:`parse_answer` gives them, None for an errored sample; only vote
+    entropy reads them, rather than parse the samples again. A question with
+    no usable signal (no samples or answers, no logprobs, an unparsable
+    confidence rating, only abstentions) gets the maximum-uncertainty
+    fallback p = 0.5; one WARNING says how many did and why.
     """
     estimates: Dict[str, DifficultyEstimate] = {}
-    for q in questions:
-        samples = [s for s in phase1_samples.get(q.id, []) if s.finish_reason != FinishReason.ERROR]
-        if signal_kind in LOGPROB_SIGNALS:
-            scored = [s.token_logprobs for s in samples if s.token_logprobs]
+    fallbacks: Dict[str, int] = {}
+
+    def fallback(qid: str, why: str) -> DifficultyEstimate:
+        fallbacks[why] = fallbacks.get(why, 0) + 1
+        return _fallback_estimate(qid, signal_kind, temperature, why)
+
+    if signal_kind in LOGPROB_SIGNALS:
+        for q in questions:
+            scored = [
+                s.token_logprobs for s in phase1_samples.get(q.id, ())
+                if s.token_logprobs and s.finish_reason != FinishReason.ERROR
+            ]
             if not scored:
-                estimates[q.id] = _fallback_estimate(q.id, signal_kind, temperature,
-                                                     "no usable logprobs in Phase 1")
+                estimates[q.id] = fallback(q.id, "no usable logprobs in Phase 1")
                 continue
-            score = left_sum(signals.logprob_score(signal_kind, lps) for lps in scored) / len(scored)
-            prob = signals.score_to_prob(score, temperature)
-            estimates[q.id] = DifficultyEstimate(q.id, score, prob, signal_kind)
-        elif signal_kind == SignalKind.VCS:
-            if not samples:
-                estimates[q.id] = _fallback_estimate(q.id, signal_kind, temperature,
-                                                     "no Phase-1 generation")
+            score = left_sum([signals.logprob_score(signal_kind, lps) for lps in scored]) / len(scored)
+            estimates[q.id] = DifficultyEstimate(q.id, score, signals.score_to_prob(score, temperature), signal_kind)
+    elif signal_kind == SignalKind.VCS:
+        for q in questions:
+            texts = [s.text for s in phase1_samples.get(q.id, ()) if s.finish_reason != FinishReason.ERROR]
+            if not texts:
+                estimates[q.id] = fallback(q.id, "no Phase-1 generation")
                 continue
             try:
-                prob = signals.parse_vcs(samples[0].text)
+                prob = signals.parse_vcs(texts[0])
             except signals.VcsUnparsableError as exc:
-                estimates[q.id] = _fallback_estimate(q.id, signal_kind, temperature, str(exc))
+                estimates[q.id] = fallback(q.id, str(exc))
                 continue
-            estimates[q.id] = DifficultyEstimate(
-                q.id, signals.prob_to_score(prob, temperature), prob, signal_kind
-            )
-        elif signal_kind == SignalKind.VOTE_ENTROPY:
-            answers = [a for a in phase1_answers[q.id] if a is not None]
+            estimates[q.id] = DifficultyEstimate(q.id, signals.prob_to_score(prob, temperature), prob, signal_kind)
+    elif signal_kind == SignalKind.VOTE_ENTROPY:
+        for q in questions:
+            answers = phase1_answers.get(q.id)
+            if answers is None:
+                estimates[q.id] = fallback(q.id, "no Phase-1 answers")
+                continue
+            answers = [a for a in answers if a is not None]
             if not answers:
-                estimates[q.id] = _fallback_estimate(q.id, signal_kind, temperature,
-                                                     "all Phase-1 samples abstained")
+                estimates[q.id] = fallback(q.id, "all Phase-1 samples abstained")
                 continue
             entropy = signals.vote_entropy(answers)
-            prob = signals.score_to_prob(entropy, temperature)
-            estimates[q.id] = DifficultyEstimate(q.id, entropy, prob, signal_kind)
-        else:
-            raise ValidationError(f"cannot estimate difficulty for signal {signal_kind}")
+            estimates[q.id] = DifficultyEstimate(q.id, entropy, signals.score_to_prob(entropy, temperature),
+                                                 signal_kind)
+    else:
+        raise ValidationError(f"cannot estimate difficulty for signal {signal_kind}")
+    if fallbacks:
+        logger.warning(
+            "%d of %d questions have no usable %s signal and use the fallback p=%.2f: %s",
+            sum(fallbacks.values()), len(questions), SignalKind(signal_kind).value, signals.VCS_FALLBACK_PROB,
+            "; ".join(f"{why} ({count})" for why, count in fallbacks.items()),
+        )
     return estimates
 
 
@@ -392,31 +426,35 @@ def run_two_phase(
     vcs_mode = config.signal_kind == SignalKind.VCS
 
     def request(q: QuestionRecord, n: int, first_index: int) -> BackendRequest:
-        return BackendRequest(
-            question_id=q.id,
-            prompt=(q.prompt + "\n\n" + VCS_INSTRUCTION) if vcs_mode else q.prompt,
-            sample_count=n,
-            sampling_temperature=config.sampling_temperature,
-            max_tokens=config.max_tokens,
-            want_logprobs=want_logprobs,
-            first_sample_index=first_index,
-        )
+        # positional: question_id, prompt, sample_count, sampling_temperature,
+        # max_tokens, want_logprobs, first_sample_index
+        return BackendRequest(q.id, (q.prompt + "\n\n" + VCS_INSTRUCTION) if vcs_mode else q.prompt, n,
+                              config.sampling_temperature, config.max_tokens, want_logprobs, first_index)
 
     samples: Dict[str, List[SampleOutput]] = {}
     for req, outcome in generate_wave(backend, (request(q, k, 0) for q in questions)):
         samples[req.question_id] = _samples(req, outcome)
-    # each sample is parsed once, here or in Phase 2, for both the vote and
-    # the vote-entropy estimate; samples repeat a few short answer spans, so
-    # each distinct span is canonicalized once, for the run's samples and
-    # gold answers alike
+    # Each sample is parsed once, here or in Phase 2, and its vote counted in
+    # its question's tally at once; only vote entropy keeps the Phase-1
+    # answers. Samples repeat a few short answer spans, so each distinct span
+    # is canonicalized once, for the run's samples and gold answers alike.
     memo: Dict[str, str] = {}
-    answers = {q.id: [_answer(s, q.task_kind, memo) for s in samples[q.id]] for q in questions}
+    tallies: Dict[str, Dict[str, int]] = {}
+    phase1_answers: Dict[str, List[Optional[str]]] = {}
+    keep_answers = config.signal_kind == SignalKind.VOTE_ENTROPY
+    for q in questions:
+        answers = _answers(samples[q.id], q.task_kind, memo)
+        tallies[q.id] = counts = {}
+        _add_votes(counts, answers)
+        if keep_answers:
+            phase1_answers[q.id] = answers
 
-    estimates = estimate_difficulties(questions, samples, answers, config.signal_kind, config.budget.temperature)
+    estimates = estimate_difficulties(questions, samples, phase1_answers, config.signal_kind,
+                                      config.budget.temperature)
     probs = {qid: est.prob for qid, est in estimates.items()}
     # Phase-1 samples are not read past the estimate; freeing them before
     # Phase 2 is drawn lowers a run's peak memory
-    del samples
+    del samples, phase1_answers
 
     if config.policy == Policy.UAB:
         _, alloc, _saved = apply_threshold_exits(probs, config.phase2_budget, config.threshold_exit)
@@ -429,26 +467,18 @@ def run_two_phase(
 
     phase2 = (request(q, alloc.extras[q.id], k) for q in questions if alloc.extras.get(q.id, 0) > 0)
     for req, outcome in generate_wave(backend, phase2):
-        task_kind = by_id[req.question_id].task_kind
-        answers[req.question_id].extend(_answer(s, task_kind, memo) for s in _samples(req, outcome))
+        qid = req.question_id
+        _add_votes(tallies[qid], _answers(_samples(req, outcome), by_id[qid].task_kind, memo))
 
     results = []
+    policy = config.policy.value
+    extras = alloc.extras
     for q in questions:
-        try:
-            final = majority_vote(answers[q.id]).winner
-        except NoVotesError:
-            final = ""
+        counts = tallies[q.id]
+        final = _winner(counts) if counts else ""
         correct = None
-        if q.gold_answer is not None:
-            correct = bool(final) and final == _canonical(q.gold_answer, memo)
-        results.append(
-            ExperimentResult(
-                question_id=q.id,
-                final_answer=final,
-                correct=correct,
-                samples_used=k + alloc.extras.get(q.id, 0),
-                difficulty=estimates[q.id],
-                policy=config.policy.value,
-            )
-        )
+        gold = q.gold_answer
+        if gold is not None:
+            correct = bool(final) and final == _canonical(gold, memo)
+        results.append(ExperimentResult(q.id, final, correct, k + extras.get(q.id, 0), estimates[q.id], policy))
     return results

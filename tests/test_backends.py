@@ -1256,6 +1256,19 @@ class TestPhaseWaves:
         assert got["p_i"] == 0.5 != want["p_i"]
         assert got["final_answer"] == want["final_answer"]
 
+    def test_run_without_logprobs_logs_one_warning(self, stub_server, caplog):
+        url, state = stub_server
+        state.with_logprobs = False
+        questions = _wave_questions()
+        with caplog.at_level(logging.WARNING, logger="uab.pipeline"):
+            lines = _result_lines(questions, _http_backend(url, max_in_flight=4))
+        assert all(json.loads(line)["p_i"] == 0.5 for line in lines)
+        m = len(questions)
+        assert [r.getMessage() for r in caplog.records if r.name == "uab.pipeline"] == [
+            f"{m} of {m} questions have no usable anll signal and use the fallback p=0.50: "
+            f"no usable logprobs in Phase 1 ({m})"
+        ]
+
     @pytest.mark.parametrize("entry", _MALFORMED_ENTRIES)
     def test_malformed_cache_entry_inside_a_wave_is_a_miss(self, stub_server, tmp_path, entry):
         url, state = stub_server

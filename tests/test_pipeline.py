@@ -256,6 +256,32 @@ class TestAllocateBaseline:
         assert estimates["q0"].score == 0.0
         assert estimates["q1"].score == pytest.approx(math.log(2))
 
+    @pytest.mark.parametrize("signal", [SignalKind.ANLL, SignalKind.VCS, SignalKind.VOTE_ENTROPY])
+    def test_question_without_phase1_output_falls_back(self, signal):
+        qs = [QuestionRecord(id=f"q{i}", prompt="p") for i in range(2)]
+        sample = SampleOutput("\\boxed{7}. Confidence: 8", (-0.1,) * 3, FinishReason.STOP)
+        estimates = estimate_difficulties(qs, {"q0": [sample]}, {"q0": ["7"]}, signal, 0.3)
+        assert estimates["q0"].prob != 0.5
+        assert estimates["q1"].prob == 0.5
+        assert estimates["q1"].signal_kind == signal
+
+    def test_one_warning_sums_up_the_fallbacks(self, caplog):
+        qs = [QuestionRecord(id=f"q{i}", prompt="p") for i in range(4)]
+        answers = {"q0": ["7", "8"], "q1": [None, None], "q2": [None]}
+        with caplog.at_level("INFO", logger="uab.pipeline"):
+            estimate_difficulties(qs, {}, answers, SignalKind.VOTE_ENTROPY, 0.3)
+        warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        assert warnings == [
+            "3 of 4 questions have no usable vote_entropy signal and use the fallback p=0.50: "
+            "all Phase-1 samples abstained (2); no Phase-1 answers (1)"
+        ]
+
+    def test_no_warning_when_every_question_has_a_signal(self, caplog):
+        qs = [QuestionRecord(id="q0", prompt="p")]
+        with caplog.at_level("INFO", logger="uab.pipeline"):
+            estimate_difficulties(qs, {}, {"q0": ["7"]}, SignalKind.VOTE_ENTROPY, 0.3)
+        assert not [r for r in caplog.records if r.levelname == "WARNING"]
+
 
 class TestRunTwoPhase:
     def test_uniform_sample_accounting(self):

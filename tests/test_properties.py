@@ -1,5 +1,5 @@
-"""Property tests of answer canonicalization, the parse memo, the config
-file format and the water-filling allocator, over generated inputs."""
+"""Property tests of answer canonicalization, the parse memo, the vote, the
+config file format and the water-filling allocator, over generated inputs."""
 
 import pytest
 from hypothesis import example, given, settings
@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from uab.allocation import ExitKind, ExitMode, ThresholdExitConfig, _heap_greedy, apply_threshold_exits
 from uab.config import parse_config_text
 from uab.core import TaskKind, ValidationError
-from uab.pipeline import canonicalize_answer, parse_answer
+from uab.pipeline import NoVotesError, _add_votes, _winner, canonicalize_answer, majority_vote, parse_answer
 
 #: Fixed examples in a fixed order, and nothing stored between runs.
 _SETTINGS = settings(derandomize=True, database=None, max_examples=100)
@@ -58,6 +58,47 @@ def test_parse_memo_changes_no_answer(texts, task_kind):
     assert shared == [parse_answer(text, task_kind) for text in texts]
     # and again, with every span already in the memo
     assert shared == [parse_answer(text, task_kind, memo) for text in texts]
+
+
+#: Answers as the parse gives them, abstentions included; a few distinct
+#: values, so that counts tie, and strings whose byte order differs from a
+#: case-blind or numeric one.
+_answers = st.lists(st.one_of(st.none(), st.sampled_from(["4", "04", "10", "9", "A", "a", "\u00e9", "e"]),
+                              st.text(st.characters(blacklist_categories=("Cs",)), max_size=3)), max_size=16)
+
+
+def _vote_outcome(vote):
+    """``vote()``'s counts in first-vote order and its winner, or the error."""
+    try:
+        counts, winner = vote()
+    except NoVotesError:
+        return NoVotesError
+    return list(counts.items()), winner
+
+
+@_SETTINGS
+@given(_answers, st.lists(st.integers(1, 4), max_size=16))
+def test_running_tally_equals_majority_vote(answers, sizes):
+    # the answers arrive request by request, as a run tallies them
+    counts = {}
+    start = 0
+    for size in sizes + [len(answers)]:
+        _add_votes(counts, answers[start:start + size])
+        start += size
+    assert _vote_outcome(lambda: (counts, _winner(counts))) == _vote_outcome(lambda: majority_vote(answers))
+
+
+@_SETTINGS
+@given(_answers)
+def test_majority_vote_takes_the_top_count_and_the_byte_order_earliest_on_ties(answers):
+    votes = [a for a in answers if a is not None]
+    expected = NoVotesError
+    if votes:
+        counts = {a: votes.count(a) for a in votes}  # first-vote order
+        top = max(counts.values())
+        winner = min(a.encode("utf-8") for a, c in counts.items() if c == top).decode("utf-8")
+        expected = list(counts.items()), winner
+    assert _vote_outcome(lambda: majority_vote(answers)) == expected
 
 
 _keys = st.from_regex(r"[a-z][a-z0-9_]*\.[a-z][a-z0-9_.]*", fullmatch=True)
