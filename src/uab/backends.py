@@ -351,8 +351,6 @@ class SimulatedBackend:
             raise ValidationError("run_seed must be >= 0")
         self.world = world
         self.run_seed = run_seed
-        self.generation_samples = 0
-        self.judge_calls = 0
         key = ((world.config.rng_seed & _MASK64) << 64) | (run_seed & _MASK64)
         self._bits = np.random.Philox(key=key)
         # a fresh Philox's state, at counter 0 with an empty buffer
@@ -477,10 +475,8 @@ class SimulatedBackend:
             raise UnknownQuestionError(request.question_id)
         if request.judge:
             label = self._judge_response(question)
-            self.judge_calls += 1
             return BackendResponse(samples=[SampleOutput(label, (), FinishReason.STOP)] * request.sample_count)
         samples = self._samples(question, request.first_sample_index, request.sample_count)
-        self.generation_samples += request.sample_count
         return _new_tuple(BackendResponse, (samples,))
 
 
@@ -567,9 +563,11 @@ class ResponseCache:
         prompt: str,
         sampling_params: Mapping[str, object],
         sample_index: int,
+        run_seed: int = 0,
     ) -> str:
+        """The SHA-256 of what decides one sample, the run's seed included."""
         canonical = json.dumps(
-            [endpoint, model, prompt, dict(sorted(sampling_params.items())), sample_index],
+            [endpoint, model, prompt, dict(sampling_params), sample_index, run_seed],
             sort_keys=True,
             ensure_ascii=True,
             separators=(",", ":"),
@@ -807,9 +805,11 @@ class HttpBackend:
     reach it.
     """
 
-    def __init__(self, config: HttpBackendConfig, cache: Optional[ResponseCache] = None):
+    def __init__(self, config: HttpBackendConfig, cache: Optional[ResponseCache] = None, run_seed: int = 0):
         self.config = config
         self.cache = cache
+        #: Part of every cache key; the endpoint never sees it.
+        self.run_seed = run_seed
         self._url = config.base_url.rstrip("/") + "/v1/chat/completions"
         self._pool = _connection_pool(self._url, config.max_in_flight)
         self._headers = _request_headers(self._url, config.api_key)
@@ -817,21 +817,19 @@ class HttpBackend:
 
     # -- request plumbing ---------------------------------------------------
 
-    def _sampling_params(self, request: BackendRequest) -> Dict[str, object]:
-        return {
+    def _cache_keys(self, request: BackendRequest, sample_indices: Iterable[int]) -> List[str]:
+        """The cache keys of ``request``'s samples at ``sample_indices`` of
+        its question's sample numbering."""
+        params = {
             "temperature": request.sampling_temperature,
             "max_tokens": request.max_tokens,
             "logprobs": request.want_logprobs,
         }
+        base_url, model, prompt = self.config.base_url, self.config.model, request.prompt
+        return [ResponseCache.make_key(base_url, model, prompt, params, i, self.run_seed) for i in sample_indices]
 
     def _cache_key(self, request: BackendRequest, sample_index: int) -> str:
-        return ResponseCache.make_key(
-            self.config.base_url,
-            self.config.model,
-            request.prompt,
-            self._sampling_params(request),
-            sample_index,
-        )
+        return self._cache_keys(request, (sample_index,))[0]
 
     def _post_with_retries(self, body: bytes) -> dict:
         from urllib3.exceptions import HTTPError
@@ -909,10 +907,11 @@ class HttpBackend:
 
     def generate(self, request: BackendRequest) -> BackendResponse:
         n = request.sample_count
-        keys = [self._cache_key(request, request.first_sample_index + i) for i in range(n)]
-        outputs: List[Optional[SampleOutput]] = (
-            [None] * n if self.cache is None else [self.cache.get(key) for key in keys]
-        )
+        cache = self.cache
+        outputs: List[Optional[SampleOutput]] = [None] * n
+        if cache is not None:
+            keys = self._cache_keys(request, range(request.first_sample_index, request.first_sample_index + n))
+            outputs = [cache.get(key) for key in keys]
         missing = [i for i, out in enumerate(outputs) if out is None]
 
         if missing:
@@ -938,8 +937,8 @@ class HttpBackend:
             fetched = [self._parse_choice(choice) for choice in choices]
             for slot, sample in zip(missing, fetched):
                 outputs[slot] = sample
-                if self.cache is not None:
-                    self.cache.put(keys[slot], sample)
+                if cache is not None:
+                    cache.put(keys[slot], sample)
             if request.want_logprobs and any(
                 not s.token_logprobs and s.finish_reason != FinishReason.ERROR for s in fetched
             ):

@@ -3,14 +3,16 @@
 The file format is one ``section.key = value`` pair per line; ``#`` starts a
 comment. Environment variables named ``UAB_<SECTION>_<KEY>`` override file
 values (the section is the part before the first underscore), and CLI flags
-override both, so precedence is CLI > env > file > defaults.
+override both, so precedence is CLI > env > file > defaults. A key that
+:data:`DEFAULTS` does not list, from a file or a variable of a known section,
+is a :class:`~uab.core.ValidationError`.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Callable, Dict, Iterator, Mapping, Optional, Tuple, TypeVar
+from typing import Callable, Container, Dict, Iterator, Mapping, Optional, Tuple, TypeVar
 
 from .allocation import ExitKind, ExitMode, ThresholdExitConfig
 from .backends import (
@@ -61,7 +63,9 @@ DEFAULTS: Dict[str, str] = {
 }
 
 
-def parse_config_text(text: str) -> Dict[str, str]:
+def parse_config_text(text: str, known: Optional[Container[str]] = None) -> Dict[str, str]:
+    """The ``section.key = value`` pairs of ``text``; a key not in ``known``,
+    when given, is an error naming its line."""
     out: Dict[str, str] = {}
     # lines end at "\n" only: str.splitlines would also end one at a form
     # feed or a record separator inside a value
@@ -75,6 +79,8 @@ def parse_config_text(text: str) -> Dict[str, str]:
         key = key.strip()
         if not key or "." not in key:
             raise ValidationError(f"config line {lineno}: keys are dotted 'section.key', got {key!r}")
+        if known is not None and key not in known:
+            raise ValidationError(f"config line {lineno}: unknown key {key!r}")
         out[key] = value.strip()
     return out
 
@@ -91,10 +97,19 @@ def read_input_text(path: Path) -> str:
 
 
 def load_config_file(path: Path) -> Dict[str, str]:
-    return parse_config_text(read_input_text(path))
+    """The settings of a config file, whose keys must be in :data:`DEFAULTS`;
+    an error names the file."""
+    text = read_input_text(path)
+    try:
+        return parse_config_text(text, DEFAULTS)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
 
 
 def env_overrides(environ: Mapping[str, str]) -> Dict[str, str]:
+    """The settings of the ``UAB_<SECTION>_<KEY>`` variables whose section is
+    in :data:`SECTIONS`; such a variable whose key :data:`DEFAULTS` does not
+    list is an error naming it. Other variables are not read."""
     out: Dict[str, str] = {}
     for name, value in environ.items():
         if not name.startswith(ENV_PREFIX):
@@ -102,7 +117,10 @@ def env_overrides(environ: Mapping[str, str]) -> Dict[str, str]:
         rest = name[len(ENV_PREFIX):].lower()
         section, _, key = rest.partition("_")
         if section in SECTIONS and key:
-            out[f"{section}.{key}"] = value
+            key = f"{section}.{key}"
+            if key not in DEFAULTS:
+                raise ValidationError(f"environment variable {name}: unknown config key {key!r}")
+            out[key] = value
     return out
 
 

@@ -15,6 +15,7 @@ import json
 import logging
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
@@ -114,40 +115,23 @@ _encode_str = json.encoder.encode_basestring_ascii
 _INF = math.inf
 
 
-def _json_value(value) -> str:
-    """``json.dumps(value, ensure_ascii=True, separators=(",", ":"))``,
-    written out directly for the scalars of a result line: a ``json.dumps``
-    call with these settings builds a new encoder each time."""
-    if isinstance(value, str):
-        return _encode_str(value)
-    if isinstance(value, float) and math.isfinite(value):
-        # numpy's float64 is a float, and json writes it with float's repr too
-        return float.__repr__(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    return json.dumps(value, ensure_ascii=True, separators=(",", ":"))
+#: ``json.dumps`` as a result line writes each value.
+_dumps = partial(json.dumps, ensure_ascii=True, separators=(",", ":"))
 
 
 def result_json_line(result) -> str:
     """Fixed-order JSON line for one ExperimentResult: the bytes of
-    ``json.dumps`` of its seven fields with ``ensure_ascii=True`` and
-    ``separators=(",", ":")``. The field types a result holds are written
-    inline; any other value goes through :func:`_json_value`."""
+    :func:`_dumps` of its seven fields. The exact types a result holds are
+    written inline; any other value goes to :func:`_dumps` itself."""
     qid, final, correct, used = result.question_id, result.final_answer, result.correct, result.samples_used
     policy, score, prob = result.policy, result.difficulty.score, result.difficulty.prob
-    qid = _encode_str(qid) if type(qid) is str else _json_value(qid)
-    policy = _encode_str(policy) if type(policy) is str else _json_value(policy)
-    final = _encode_str(final) if type(final) is str else _json_value(final)
-    correct = "true" if correct is True else "false" if correct is False else _json_value(correct)
-    used = int.__repr__(used) if type(used) is int else _json_value(used)
-    score = float.__repr__(score) if type(score) is float and -_INF < score < _INF else _json_value(score)
-    prob = float.__repr__(prob) if type(prob) is float and -_INF < prob < _INF else _json_value(prob)
+    qid = _encode_str(qid) if type(qid) is str else _dumps(qid)
+    policy = _encode_str(policy) if type(policy) is str else _dumps(policy)
+    final = _encode_str(final) if type(final) is str else _dumps(final)
+    correct = "true" if correct is True else "false" if correct is False else _dumps(correct)
+    used = int.__repr__(used) if type(used) is int else _dumps(used)
+    score = float.__repr__(score) if type(score) is float and -_INF < score < _INF else _dumps(score)
+    prob = float.__repr__(prob) if type(prob) is float and -_INF < prob < _INF else _dumps(prob)
     return (
         f'{{"question_id":{qid},"policy":{policy},"final_answer":{final},"correct":{correct},'
         f'"samples_used":{used},"anll":{score},"p_i":{prob}}}'
@@ -189,11 +173,12 @@ def experiment_inputs(config: ExperimentConfig) -> Tuple[Optional[SimulatedWorld
 
 
 def build_backend(config: ExperimentConfig, world: Optional[SimulatedWorld], seed: int):
-    """The configured backend for one seed; the HTTP one caches under ``cache_dir`` if set."""
+    """The configured backend for one seed; the HTTP one caches under
+    ``cache_dir`` if set, keyed by the seed too."""
     if config.backend_kind == "sim":
         return SimulatedBackend(world, run_seed=seed)
     cache = ResponseCache(config.cache_dir) if config.cache_dir else None
-    return HttpBackend(config.http, cache=cache)
+    return HttpBackend(config.http, cache=cache, run_seed=seed)
 
 
 def run_experiment(config: ExperimentConfig) -> MetricReport:

@@ -266,18 +266,19 @@ def _length_scores(questions: Sequence[QuestionRecord]) -> Dict[str, float]:
 def estimate_difficulties(
     questions: Sequence[QuestionRecord],
     phase1_samples: Mapping[str, Sequence[SampleOutput]],
-    phase1_answers: Mapping[str, Sequence[Optional[str]]],
+    phase1_votes: Mapping[str, Mapping[str, int]],
     signal_kind: SignalKind,
     temperature: float,
 ) -> Dict[str, DifficultyEstimate]:
     """Turn Phase-1 outputs into per-question success-probability estimates.
 
-    ``phase1_answers`` holds, by question, the answers of ``phase1_samples``
-    as :func:`parse_answer` gives them, None for an errored sample; only vote
-    entropy reads them, rather than parse the samples again. A question with
-    no usable signal (no samples or answers, no logprobs, an unparsable
-    confidence rating, only abstentions) gets the maximum-uncertainty
-    fallback p = 0.5; one WARNING says how many did and why.
+    ``phase1_votes`` holds, by question, the vote counts of
+    ``phase1_samples`` in first-vote order, as a run tallies them
+    (abstentions cast no vote); only vote entropy reads them, rather than
+    parse the samples again. A question with no usable signal (no samples or
+    votes, no logprobs, an unparsable confidence rating, only abstentions)
+    gets the maximum-uncertainty fallback p = 0.5; one WARNING says how many
+    did and why.
     """
     estimates: Dict[str, DifficultyEstimate] = {}
     fallbacks: Dict[str, int] = {}
@@ -311,15 +312,14 @@ def estimate_difficulties(
             estimates[q.id] = DifficultyEstimate(q.id, signals.prob_to_score(prob, temperature), prob, signal_kind)
     elif signal_kind == SignalKind.VOTE_ENTROPY:
         for q in questions:
-            answers = phase1_answers.get(q.id)
-            if answers is None:
+            counts = phase1_votes.get(q.id)
+            if counts is None:
                 estimates[q.id] = fallback(q.id, "no Phase-1 answers")
                 continue
-            answers = [a for a in answers if a is not None]
-            if not answers:
+            if not counts:
                 estimates[q.id] = fallback(q.id, "all Phase-1 samples abstained")
                 continue
-            entropy = signals.vote_entropy(answers)
+            entropy = signals.tally_entropy(counts.values())
             estimates[q.id] = DifficultyEstimate(q.id, entropy, signals.score_to_prob(entropy, temperature),
                                                  signal_kind)
     else:
@@ -380,16 +380,12 @@ def allocate_baseline(
 # ---------------------------------------------------------------------------
 
 
-#: What a failed request contributes in place of each sample it asked for.
-_ERROR_SAMPLE = SampleOutput("", (), FinishReason.ERROR)
-
-
 def _samples(request: BackendRequest, outcome: Union[BackendResponse, BackendError]) -> List[SampleOutput]:
-    """The samples of one request; a failed request gives error samples."""
+    """The samples of one request; a failed request gives none."""
     if isinstance(outcome, BackendError):
-        logger.warning("generation failed for %s (%s); recording error samples",
+        logger.warning("generation failed for %s (%s); it contributes no samples",
                        request.question_id, outcome)
-        return [_ERROR_SAMPLE] * request.sample_count
+        return []
     return outcome.samples
 
 
@@ -403,8 +399,9 @@ def run_two_phase(
     Every question gets K Phase-1 samples; the difficulty estimate uses those
     samples only. The configured policy then allocates the remaining budget,
     Phase 2 draws the extras, and the majority vote runs over all samples of
-    both phases. Samples that errored abstain from the vote; a question whose
-    samples all abstained gets the empty-string sentinel and counts incorrect.
+    both phases. Samples that errored abstain from the vote, and a failed
+    request adds none; a question without a vote gets the empty-string
+    sentinel and counts incorrect.
     Within a phase, requests go out as one wave of up to the backend's
     ``max_in_flight``; samples are kept per question in request order, so
     results do not depend on that width.
@@ -431,30 +428,24 @@ def run_two_phase(
         return BackendRequest(q.id, (q.prompt + "\n\n" + VCS_INSTRUCTION) if vcs_mode else q.prompt, n,
                               config.sampling_temperature, config.max_tokens, want_logprobs, first_index)
 
-    samples: Dict[str, List[SampleOutput]] = {}
-    for req, outcome in generate_wave(backend, (request(q, k, 0) for q in questions)):
-        samples[req.question_id] = _samples(req, outcome)
-    # Each sample is parsed once, here or in Phase 2, and its vote counted in
-    # its question's tally at once; only vote entropy keeps the Phase-1
-    # answers. Samples repeat a few short answer spans, so each distinct span
+    # Each sample is parsed once, as its request comes back, and its vote
+    # counted in its question's tally at once; vote entropy reads the Phase-1
+    # tallies. Samples repeat a few short answer spans, so each distinct span
     # is canonicalized once, for the run's samples and gold answers alike.
     memo: Dict[str, str] = {}
+    samples: Dict[str, List[SampleOutput]] = {}
     tallies: Dict[str, Dict[str, int]] = {}
-    phase1_answers: Dict[str, List[Optional[str]]] = {}
-    keep_answers = config.signal_kind == SignalKind.VOTE_ENTROPY
-    for q in questions:
-        answers = _answers(samples[q.id], q.task_kind, memo)
-        tallies[q.id] = counts = {}
-        _add_votes(counts, answers)
-        if keep_answers:
-            phase1_answers[q.id] = answers
+    for req, outcome in generate_wave(backend, (request(q, k, 0) for q in questions)):
+        qid = req.question_id
+        samples[qid] = got = _samples(req, outcome)
+        tallies[qid] = counts = {}
+        _add_votes(counts, _answers(got, by_id[qid].task_kind, memo))
 
-    estimates = estimate_difficulties(questions, samples, phase1_answers, config.signal_kind,
-                                      config.budget.temperature)
+    estimates = estimate_difficulties(questions, samples, tallies, config.signal_kind, config.budget.temperature)
     probs = {qid: est.prob for qid, est in estimates.items()}
     # Phase-1 samples are not read past the estimate; freeing them before
     # Phase 2 is drawn lowers a run's peak memory
-    del samples, phase1_answers
+    del samples
 
     if config.policy == Policy.UAB:
         _, alloc, _saved = apply_threshold_exits(probs, config.phase2_budget, config.threshold_exit)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter
-from typing import Sequence
+from typing import Collection, Sequence
 
 from .core import SignalKind, ValidationError, left_sum
 
@@ -123,15 +123,21 @@ def parse_vcs(text: str) -> float:
     return value / 10.0
 
 
-def vote_entropy(parsed_answers: Sequence[str]) -> float:
-    """Shannon entropy (natural log) of the empirical answer distribution."""
-    if len(parsed_answers) == 0:
+def tally_entropy(counts: Collection[int]) -> float:
+    """Shannon entropy (natural log) of the answer distribution that vote
+    ``counts`` give, its terms summed in the order of ``counts``."""
+    n = sum(counts)
+    if n == 0:
         raise ValidationError("vote entropy needs at least one answer")
-    counts = Counter(parsed_answers)
-    n = len(parsed_answers)
     h = 0.0
-    for c in counts.values():
+    for c in counts:
         q = c / n
         h -= q * math.log(q)
     # guard tiny negative rounding when all answers agree
     return max(h, 0.0)
+
+
+def vote_entropy(parsed_answers: Sequence[str]) -> float:
+    """Shannon entropy (natural log) of the empirical answer distribution:
+    :func:`tally_entropy` of the answers' counts in first-occurrence order."""
+    return tally_entropy(Counter(parsed_answers).values())

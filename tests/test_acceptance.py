@@ -263,14 +263,14 @@ def test_t_infinity_uniform_limit():
     verdict("t_infinity_uniform_limit", True, "greedy equals uniform exactly at T=1e9")
 
 
-def test_budget_accounting():
+def test_budget_accounting(counting):
     m, n = 24, 4
     world = SimulatedWorld(WorldConfig(m_questions=m, prob_law=BetaLaw(2, 2), rng_seed=37))
     budget = BudgetSpec(n, m, temperature=0.2)
     checks = []
 
     for policy in (Policy.UNIFORM, Policy.RANDOM, Policy.LENGTH, Policy.LLM_JUDGE, Policy.UAB):
-        backend = SimulatedBackend(world, run_seed=3)
+        backend = counting(SimulatedBackend(world, run_seed=3))
         cfg = PipelineConfig(budget=budget, policy=policy, rng_seed=3)
         results = run_two_phase(world.questions, backend, cfg)
         issued = backend.generation_samples
@@ -278,7 +278,7 @@ def test_budget_accounting():
 
     for kind in (ExitKind.HARD, ExitKind.EASY):
         for mode in (ExitMode.REDISTRIBUTE, ExitMode.SKIP):
-            backend = SimulatedBackend(world, run_seed=3)
+            backend = counting(SimulatedBackend(world, run_seed=3))
             cfg = PipelineConfig(
                 budget=budget,
                 policy=Policy.UAB,

@@ -298,7 +298,7 @@ class TestSimulatedBackend:
         assert samples == [one_sample(alone, "q00300", s) for s in range(2, n + 2)]
 
     @pytest.mark.parametrize("sigma, rho", [(0.0, 0.0), (0.0, 0.5), (0.15, 0.3)])
-    def test_wave_equals_requests_one_at_a_time(self, sigma, rho):
+    def test_wave_equals_requests_one_at_a_time(self, sigma, rho, counting):
         world = make_world(m=300, sigma=sigma, rho=rho, seed=8)
         rng = random.Random(6)
         # Phase-1 requests for every question, then scattered Phase-2 ones
@@ -310,14 +310,14 @@ class TestSimulatedBackend:
         ]
         judge = [BackendRequest(q.id, "p", 1, judge=True) for q in world.questions[::9]]
         for requests in (phase1, phase2):
-            alone = SimulatedBackend(world, run_seed=1)
+            alone = counting(SimulatedBackend(world, run_seed=1))
             expected = {r: alone.generate(r).samples for r in requests + judge}
             shuffled = requests[:]
             rng.shuffle(shuffled)
             # judge calls interleaved with the wave
             for t, r in enumerate(judge):
                 shuffled.insert(9 * t, r)
-            waved = SimulatedBackend(world, run_seed=1)
+            waved = counting(SimulatedBackend(world, run_seed=1))
             outcomes = list(generate_wave(waved, shuffled))
             assert [r for r, _ in outcomes] == shuffled
             for r, response in outcomes:
@@ -363,12 +363,13 @@ class TestSimulatedBackend:
         with pytest.raises(UnknownQuestionError):
             backend.generate(BackendRequest("nope", "p", 1))
 
-    def test_generate_counts_samples_and_continues_indices(self):
+    def test_generate_counts_samples_and_continues_indices(self, counting):
         world = make_world(m=2)
         backend = SimulatedBackend(world, run_seed=0)
-        r1 = backend.generate(BackendRequest("q00000", "prompt", 2, first_sample_index=0))
-        r2 = backend.generate(BackendRequest("q00000", "prompt", 3, first_sample_index=2))
-        assert backend.generation_samples == 5
+        counted = counting(backend)
+        r1 = counted.generate(BackendRequest("q00000", "prompt", 2, first_sample_index=0))
+        r2 = counted.generate(BackendRequest("q00000", "prompt", 3, first_sample_index=2))
+        assert counted.generation_samples == 5
         direct = [one_sample(backend, "q00000", s).text for s in range(5)]
         assert [s.text for s in r1.samples] + [s.text for s in r2.samples] == direct
 
@@ -384,18 +385,18 @@ class TestSimulatedBackend:
 
 
 class TestJudge:
-    def test_sim_judge_labels_follow_difficulty(self):
+    def test_sim_judge_labels_follow_difficulty(self, counting):
         world = make_world(m=2, probs=[0.9, 0.1])
-        backend = SimulatedBackend(world, run_seed=0)
+        backend = counting(SimulatedBackend(world, run_seed=0))
         labels = judge_classify_all(world.questions, backend)
         assert labels == [JudgeLabel.EASY, JudgeLabel.HARD]
         assert backend.judge_calls == 2
         assert backend.generation_samples == 0
 
-    def test_generation_prompt_in_judge_wording_gets_samples(self):
+    def test_generation_prompt_in_judge_wording_gets_samples(self, counting):
         # only a request marked as a judge request is answered with a label
         world = make_world(m=2, probs=[0.9, 0.1])
-        backend = SimulatedBackend(world, run_seed=0)
+        backend = counting(SimulatedBackend(world, run_seed=0))
         q = world.questions[0]
         prompt = JUDGE_PROMPT_TEMPLATE.format(question=q.prompt)
         resp = backend.generate(BackendRequest(q.id, prompt, 2))
@@ -790,6 +791,32 @@ class TestHttpBackend:
         assert body["model"] == "stub-model"
         assert body["messages"] == [{"role": "user", "content": "what is 2+2"}]
         assert body["n"] == 3 and body["logprobs"] is True
+
+    def test_cache_keys_cover_the_run_seed(self, stub_server, tmp_path):
+        url, state = stub_server
+        config = _http_backend(url).config
+        request = BackendRequest("q1", "p", 2)
+        samples = {}
+        for seed in (0, 1):
+            samples[seed] = HttpBackend(config, cache=ResponseCache(tmp_path), run_seed=seed).generate(request)
+            # each seed POSTs its own samples
+            assert len(state.requests) == seed + 1
+        for seed in (1, 0):
+            cache = ResponseCache(tmp_path)
+            assert HttpBackend(config, cache=cache, run_seed=seed).generate(request) == samples[seed]
+            assert (cache.hits, cache.misses) == (2, 0)
+        # a rerun of either seed POSTs nothing
+        assert len(state.requests) == 2
+
+    def test_no_cache_builds_no_key(self, stub_server, monkeypatch):
+        url, state = stub_server
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("cache key built without a cache")
+
+        monkeypatch.setattr(ResponseCache, "make_key", refuse)
+        assert len(_http_backend(url).generate(BackendRequest("q1", "p", 3, first_sample_index=2)).samples) == 3
+        assert len(state.requests) == 1
 
     def test_rate_limit_retry_then_success(self, stub_server, caplog):
         url, state = stub_server
@@ -1354,6 +1381,27 @@ class TestPhaseWaves:
         assert [(r["question_id"], r["final_answer"], r["correct"]) for r in rows] == [
             (f"n{i}", str(len(prompt) % 3), True) for i, prompt in enumerate(prompts)
         ]
+
+    def test_cli_run_over_http_caches_each_seed_apart(self, stub_server, tmp_path):
+        from uab.cli import main
+
+        url, state = stub_server
+        questions = tmp_path / "questions.jsonl"
+        questions.write_text("".join(
+            json.dumps({"id": f"s{i}", "prompt": f"What is {i} + {i}?"}) + "\n" for i in range(4)
+        ))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            f"http.base_url = {url}\nhttp.model = stub-model\nhttp.cache_dir = {tmp_path / 'cache'}\n"
+            f"run.out = {tmp_path / 'out'}\nrun.questions = {questions}\nbackend.kind = http\n"
+        )
+        assert main(["run", "--config", str(cfg), "--n", "2", "--seed", "0"]) == 0
+        one_seed = len(state.requests)
+        # seed 1 fetches samples of its own; seed 0 replays its entries
+        assert main(["run", "--config", str(cfg), "--n", "2", "--seed", "0", "--seed", "1"]) == 0
+        assert len(state.requests) == 2 * one_seed
+        assert main(["run", "--config", str(cfg), "--n", "2", "--seed", "1", "--seed", "0"]) == 0
+        assert len(state.requests) == 2 * one_seed
 
     def test_cli_judge_over_http_uses_cache_dir(self, stub_server, tmp_path):
         from uab.cli import main

@@ -1,10 +1,12 @@
 import csv
 import json
+from pathlib import Path
 
 import pytest
 
 from uab.backends import BetaLaw, FixedProbs, TwoPointLaw
 from uab.config import (
+    DEFAULTS,
     build_experiment_config,
     env_overrides,
     load_questions_jsonl,
@@ -56,6 +58,20 @@ class TestConfigParsing:
         assert merged["run.out"] == "from_env"
         assert merged["budget.temperature"] == "0.5"
         assert merged["pipeline.policy"] == "uab"  # default survives
+
+    def test_unknown_variable_of_a_config_section_is_an_error(self):
+        with pytest.raises(ValidationError, match="environment variable UAB_BUDGET_NN: unknown config key 'budget.nn'"):
+            env_overrides({"UAB_BUDGET_N": "6", "UAB_BUDGET_NN": "5"})
+
+    def test_unknown_key_is_an_error_only_against_known_keys(self):
+        assert parse_config_text("budget.nn = 9\n") == {"budget.nn": "9"}
+        with pytest.raises(ValidationError, match="config line 2: unknown key 'budget.nn'"):
+            parse_config_text("budget.n = 4\nbudget.nn = 9\n", DEFAULTS)
+
+    def test_readme_config_block_is_the_defaults(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("## Configuration", 1)[1].split("```ini\n", 1)[1].split("```", 1)[0]
+        assert parse_config_text(block) == DEFAULTS
 
     def test_prob_law_parsing(self):
         assert parse_prob_law("beta:2,2") == BetaLaw(2.0, 2.0)
@@ -197,6 +213,27 @@ class TestCli:
         out = capsys.readouterr().out
         assert "N=3" in out
         assert (tmp_path / "cfg_out" / "uab_seed4.jsonl").exists()
+
+    def test_unknown_config_file_key_exits_2_naming_it(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("world.m_questions = 5\nbudget.nn = 9\n")
+        rc = self.run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "out"))
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {cfg}: config line 2: unknown key 'budget.nn'\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_unknown_config_variable_exits_2_naming_it(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("UAB_BUDGET_NN", "5")
+        # a variable of no config section is not read as config
+        monkeypatch.setenv("UAB_API_KEY", "secret")
+        rc = self.run_cli("simulate", "--seed", "0", "--out", str(tmp_path / "out"))
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: environment variable UAB_BUDGET_NN: unknown config key 'budget.nn'\n"
+        )
+        assert not (tmp_path / "out").exists()
+        monkeypatch.delenv("UAB_BUDGET_NN")
+        assert self.run_cli("simulate", "--seed", "0", "--out", str(tmp_path / "out")) == 0
 
     def test_simulate_compares_policies(self, tmp_path, capsys):
         out = tmp_path / "sim"

@@ -5,6 +5,7 @@ import pytest
 
 from uab.allocation import ExitKind, ExitMode, ThresholdExitConfig, greedy_allocate
 from uab.backends import (
+    BackendError,
     BackendRequest,
     BackendResponse,
     FixedProbs,
@@ -250,8 +251,9 @@ class TestAllocateBaseline:
 
     def test_vote_entropy_reads_the_phase1_answers(self):
         qs = [QuestionRecord(id=f"q{i}", prompt="p") for i in range(2)]
+        # the tallies of ["7", "7"] and ["7", None, "8"]
         estimates = estimate_difficulties(
-            qs, {}, {"q0": ["7", "7"], "q1": ["7", None, "8"]}, SignalKind.VOTE_ENTROPY, 0.3
+            qs, {}, {"q0": {"7": 2}, "q1": {"7": 1, "8": 1}}, SignalKind.VOTE_ENTROPY, 0.3
         )
         assert estimates["q0"].score == 0.0
         assert estimates["q1"].score == pytest.approx(math.log(2))
@@ -260,16 +262,17 @@ class TestAllocateBaseline:
     def test_question_without_phase1_output_falls_back(self, signal):
         qs = [QuestionRecord(id=f"q{i}", prompt="p") for i in range(2)]
         sample = SampleOutput("\\boxed{7}. Confidence: 8", (-0.1,) * 3, FinishReason.STOP)
-        estimates = estimate_difficulties(qs, {"q0": [sample]}, {"q0": ["7"]}, signal, 0.3)
+        estimates = estimate_difficulties(qs, {"q0": [sample]}, {"q0": {"7": 1}}, signal, 0.3)
         assert estimates["q0"].prob != 0.5
         assert estimates["q1"].prob == 0.5
         assert estimates["q1"].signal_kind == signal
 
     def test_one_warning_sums_up_the_fallbacks(self, caplog):
         qs = [QuestionRecord(id=f"q{i}", prompt="p") for i in range(4)]
-        answers = {"q0": ["7", "8"], "q1": [None, None], "q2": [None]}
+        # the tallies of ["7", "8"], [None, None] and [None]
+        votes = {"q0": {"7": 1, "8": 1}, "q1": {}, "q2": {}}
         with caplog.at_level("INFO", logger="uab.pipeline"):
-            estimate_difficulties(qs, {}, answers, SignalKind.VOTE_ENTROPY, 0.3)
+            estimate_difficulties(qs, {}, votes, SignalKind.VOTE_ENTROPY, 0.3)
         warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
         assert warnings == [
             "3 of 4 questions have no usable vote_entropy signal and use the fallback p=0.50: "
@@ -279,21 +282,23 @@ class TestAllocateBaseline:
     def test_no_warning_when_every_question_has_a_signal(self, caplog):
         qs = [QuestionRecord(id="q0", prompt="p")]
         with caplog.at_level("INFO", logger="uab.pipeline"):
-            estimate_difficulties(qs, {}, {"q0": ["7"]}, SignalKind.VOTE_ENTROPY, 0.3)
+            estimate_difficulties(qs, {}, {"q0": {"7": 1}}, SignalKind.VOTE_ENTROPY, 0.3)
         assert not [r for r in caplog.records if r.levelname == "WARNING"]
 
 
 class TestRunTwoPhase:
-    def test_uniform_sample_accounting(self):
+    def test_uniform_sample_accounting(self, counting):
         world, backend, budget = sim_setup([0.5, 0.7, 0.2], n_per_question=4)
+        backend = counting(backend)
         cfg = PipelineConfig(budget=budget, policy=Policy.UNIFORM)
         results = run_two_phase(world.questions, backend, cfg)
         assert all(r.samples_used == 4 for r in results)
         assert backend.generation_samples == 12
 
-    def test_uab_concentrates_on_uncertain_question(self):
+    def test_uab_concentrates_on_uncertain_question(self, counting):
         # noiseless estimates (0.9, 0.3): both Phase-2 units flow to q2
         world, backend, budget = sim_setup([0.9, 0.3], n_per_question=2)
+        backend = counting(backend)
         cfg = PipelineConfig(budget=budget, policy=Policy.UAB)
         results = run_two_phase(world.questions, backend, cfg)
         used = {r.question_id: r.samples_used for r in results}
@@ -331,8 +336,9 @@ class TestRunTwoPhase:
                 math.exp(-r.difficulty.score / budget.temperature), abs=1e-12
             )
 
-    def test_threshold_exit_skip_reduces_issued_samples(self):
+    def test_threshold_exit_skip_reduces_issued_samples(self, counting):
         world, backend, budget = sim_setup([0.9, 0.8, 0.3, 0.2], n_per_question=4)
+        backend = counting(backend)
         cfg = PipelineConfig(
             budget=budget,
             policy=Policy.UAB,
@@ -346,8 +352,9 @@ class TestRunTwoPhase:
             if r.question_id in high:
                 assert r.samples_used == 1
 
-    def test_vote_entropy_consumes_k_samples(self):
+    def test_vote_entropy_consumes_k_samples(self, counting):
         world, backend, budget = sim_setup([0.6, 0.4, 0.5], n_per_question=4)
+        backend = counting(backend)
         cfg = PipelineConfig(
             budget=budget, policy=Policy.UAB, signal_kind=SignalKind.VOTE_ENTROPY,
             phase1_samples_k=2,
@@ -368,8 +375,9 @@ class TestRunTwoPhase:
         assert by_id["q00000"].difficulty.prob == pytest.approx(0.9)
         assert by_id["q00001"].difficulty.prob == pytest.approx(0.1)
 
-    def test_llm_judge_policy_uses_judge_calls(self):
+    def test_llm_judge_policy_uses_judge_calls(self, counting):
         world, backend, budget = sim_setup([0.9, 0.1], n_per_question=3)
+        backend = counting(backend)
         cfg = PipelineConfig(budget=budget, policy=Policy.LLM_JUDGE)
         results = run_two_phase(world.questions, backend, cfg)
         assert backend.judge_calls == 2
@@ -403,6 +411,34 @@ class TestRunTwoPhase:
         assert by_id["q00001"].correct is False
         # failed samples still count toward the issued budget
         assert by_id["q00001"].samples_used == 2
+
+    @pytest.mark.parametrize("signal, k, why", [
+        (SignalKind.ANLL, 1, "no usable logprobs in Phase 1"),
+        (SignalKind.VCS, 1, "no Phase-1 generation"),
+        (SignalKind.VOTE_ENTROPY, 2, "all Phase-1 samples abstained"),
+    ])
+    def test_failed_phase1_request_adds_no_samples_and_falls_back(self, caplog, signal, k, why):
+        world, backend, budget = sim_setup([0.9, 0.6, 0.3], n_per_question=4)
+
+        class FailingPhase1:
+            def generate(self, request):
+                if request.question_id == "q00001" and request.first_sample_index == 0:
+                    raise BackendError("injected")
+                return backend.generate(request)
+
+        cfg = PipelineConfig(budget=budget, signal_kind=signal, phase1_samples_k=k)
+        with caplog.at_level("WARNING", logger="uab.pipeline"):
+            results = run_two_phase(world.questions, FailingPhase1(), cfg)
+        probs = {r.question_id: r.difficulty.prob for r in results}
+        assert probs["q00001"] == 0.5
+        assert probs["q00000"] != 0.5 and probs["q00002"] != 0.5
+        warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        assert warnings == [
+            "generation failed for q00001 (injected); it contributes no samples",
+            f"1 of 3 questions have no usable {signal.value} signal and use the fallback p=0.50: {why} (1)",
+        ]
+        # the failed request's units still count as used
+        assert sum(r.samples_used for r in results) == budget.total
 
     def test_serial_backend_never_starts_a_pool(self, monkeypatch):
         import concurrent.futures

@@ -1,5 +1,6 @@
-"""Property tests of answer canonicalization, the parse memo, the vote, the
-config file format and the water-filling allocator, over generated inputs."""
+"""Property tests of answer canonicalization, the parse memo, the vote, vote
+entropy, the config file format and the water-filling allocator, over
+generated inputs."""
 
 import pytest
 from hypothesis import example, given, settings
@@ -9,6 +10,7 @@ from uab.allocation import ExitKind, ExitMode, ThresholdExitConfig, _heap_greedy
 from uab.config import parse_config_text
 from uab.core import TaskKind, ValidationError
 from uab.pipeline import NoVotesError, _add_votes, _winner, canonicalize_answer, majority_vote, parse_answer
+from uab.signals import tally_entropy, vote_entropy
 
 #: Fixed examples in a fixed order, and nothing stored between runs.
 _SETTINGS = settings(derandomize=True, database=None, max_examples=100)
@@ -99,6 +101,24 @@ def test_majority_vote_takes_the_top_count_and_the_byte_order_earliest_on_ties(a
         winner = min(a.encode("utf-8") for a, c in counts.items() if c == top).decode("utf-8")
         expected = list(counts.items()), winner
     assert _vote_outcome(lambda: majority_vote(answers)) == expected
+
+
+def _entropy_outcome(entropy):
+    """``entropy()``, or the error when there is no answer."""
+    try:
+        return entropy()
+    except ValidationError:
+        return ValidationError
+
+
+@_SETTINGS
+@given(_answers)
+def test_tally_entropy_equals_vote_entropy_of_the_answers(answers):
+    # a run's Phase-1 tally, as vote entropy reads it
+    counts = {}
+    _add_votes(counts, answers)
+    votes = [a for a in answers if a is not None]
+    assert _entropy_outcome(lambda: tally_entropy(counts.values())) == _entropy_outcome(lambda: vote_entropy(votes))
 
 
 _keys = st.from_regex(r"[a-z][a-z0-9_]*\.[a-z][a-z0-9_.]*", fullmatch=True)
