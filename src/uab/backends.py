@@ -44,6 +44,7 @@ from .core import (
     QuestionRecord,
     TaskKind,
     ValidationError,
+    _new_tuple,
     _validated_make,
 )
 
@@ -70,10 +71,6 @@ SIM_TOKEN_COUNT = 8
 
 #: Floor applied before taking logs of a success probability.
 SIM_PROB_FLOOR = 1e-9
-
-#: Builds a NamedTuple record from a tuple of fields that are known to be
-#: valid, without the Python-level ``__new__`` of the class.
-_new_tuple = tuple.__new__
 
 
 class UnknownQuestionError(ValidationError):
@@ -366,9 +363,15 @@ class SimulatedBackend:
         shared_mode = table[:, 0] < cfg.correlation_rho
         shared_outcome = table[:, 1] < self.world.p_star
         self._threshold = np.where(shared_mode, shared_outcome.astype(float), self.world.p_star)
-        #: Noiseless samples at ``question * (n_distractors + 1) + answer``,
-        #: and noiseless signals by question, each built on first use.
-        self._outputs: List[Optional[SampleOutput]] = [None] * (m * (cfg.n_distractors + 1))
+        # the world's constants that each request reads
+        self._p_star = world.p_star
+        self._sigma = cfg.signal_noise_sigma
+        self._world_temperature = cfg.world_temperature
+        #: Answers per question: the distractors, then the gold answer.
+        self._stride = cfg.n_distractors + 1
+        #: Noiseless samples at ``question * _stride + answer``, and noiseless
+        #: signals by question, each built on first use.
+        self._outputs: List[Optional[SampleOutput]] = [None] * (m * self._stride)
         self._signals: List[Optional[Tuple[Tuple[float, ...], int]]] = [None] * m
         #: Distractor texts by confidence, by answer (:meth:`_text`).
         self._wrong_texts: Dict[int, List[str]] = {}
@@ -391,10 +394,6 @@ class SimulatedBackend:
         ``_CHUNK`` indices per numpy pass, which bounds a pass's memory when
         one request asks a question for many samples."""
         memo = self._memo
-        try:
-            return [memo[lane, index, chunk] for index in indices]
-        except KeyError:
-            pass
         missing = [index for index in indices if (lane, index, chunk) not in memo]
         cfg = self.world.config
         first = chunk * _CHUNK
@@ -417,7 +416,7 @@ class SimulatedBackend:
         """The text of a sample of ``question`` at ``confidence`` naming
         distractor ``answer``, or the gold answer when ``answer`` is
         ``n_distractors``. The distractor texts are shared by every question."""
-        n = self.world.config.n_distractors
+        n = self._stride - 1
         if answer == n:
             return _sample_text(self.world.questions[question].gold_answer, confidence)
         wrong = self._wrong_texts.get(confidence)
@@ -426,13 +425,12 @@ class SimulatedBackend:
         return wrong[answer]
 
     def _shared_output(self, key: int) -> SampleOutput:
-        """The noiseless sample ``question * (n_distractors + 1) + answer``,
-        built and kept; each question's signal is computed once."""
-        question, answer = divmod(key, self.world.config.n_distractors + 1)
+        """The noiseless sample ``question * _stride + answer``, built and
+        kept; each question's signal is computed once."""
+        question, answer = divmod(key, self._stride)
         signal = self._signals[question]
         if signal is None:
-            p = float(self.world.p_star[question])
-            signal = self._signals[question] = _sim_signal(p, self.world.config.world_temperature)
+            signal = self._signals[question] = _sim_signal(float(self._p_star[question]), self._world_temperature)
         token_logprobs, confidence = signal
         output = self._outputs[key] = _new_tuple(
             SampleOutput, (self._text(question, answer, confidence), token_logprobs, FinishReason.STOP)
@@ -441,28 +439,32 @@ class SimulatedBackend:
 
     def _samples(self, question: int, first: int, count: int) -> List[SampleOutput]:
         """Samples ``first`` to ``first + count - 1`` of ``question``."""
-        cfg = self.world.config
         chunk, offset = divmod(question, _CHUNK)
-        drawn = self._chunks(_LANE_SAMPLE, range(first, first + count), chunk)
-        sigma = cfg.signal_noise_sigma
-        if sigma == 0:
-            base = question * (cfg.n_distractors + 1)
+        indices = range(first, first + count)
+        memo = self._memo
+        try:
+            drawn = [memo[_LANE_SAMPLE, index, chunk] for index in indices]
+        except KeyError:
+            drawn = self._chunks(_LANE_SAMPLE, indices, chunk)
+        sigma = self._sigma
+        if not sigma:
+            base = question * self._stride
             outputs = self._outputs
             return [
                 outputs[base + answers[offset]] or self._shared_output(base + answers[offset])
                 for answers, _ in drawn
             ]
-        p = float(self.world.p_star[question])
+        p = float(self._p_star[question])
         samples = []
         for answers, noise in drawn:
-            token_logprobs, confidence = _sim_signal(p + _noise(sigma, *noise[offset]), cfg.world_temperature)
+            token_logprobs, confidence = _sim_signal(p + _noise(sigma, *noise[offset]), self._world_temperature)
             text = self._text(question, answers[offset], confidence)
             samples.append(_new_tuple(SampleOutput, (text, token_logprobs, FinishReason.STOP)))
         return samples
 
     def _judge_response(self, question: int) -> str:
-        perceived = float(self.world.p_star[question])
-        sigma = self.world.config.signal_noise_sigma
+        perceived = float(self._p_star[question])
+        sigma = self._sigma
         if sigma:
             chunk, offset = divmod(question, _CHUNK)
             [(_, noise)] = self._chunks(_LANE_JUDGE, [0], chunk)
@@ -814,6 +816,10 @@ class HttpBackend:
         self._pool = _connection_pool(self._url, config.max_in_flight)
         self._headers = _request_headers(self._url, config.api_key)
         self.max_in_flight = config.max_in_flight
+        #: Whether a reply without usable logprobs was warned about; guarded
+        #: by its lock, as wave threads share the backend.
+        self._logprobs_warned = False
+        self._logprobs_lock = threading.Lock()
 
     # -- request plumbing ---------------------------------------------------
 
@@ -942,12 +948,19 @@ class HttpBackend:
             if request.want_logprobs and any(
                 not s.token_logprobs and s.finish_reason != FinishReason.ERROR for s in fetched
             ):
-                logger.warning(
-                    "endpoint omitted token logprobs for %s, or sent unusable ones; "
-                    "falling back to empty logprobs",
-                    request.question_id,
-                )
+                self._missing_logprobs(request.question_id)
         return BackendResponse(samples=outputs)
+
+    def _missing_logprobs(self, question_id: str) -> None:
+        """Log that a reply for ``question_id`` came without usable logprobs:
+        a WARNING the first time for this backend, DEBUG after that."""
+        with self._logprobs_lock:
+            first, self._logprobs_warned = not self._logprobs_warned, True
+        logger.log(
+            logging.WARNING if first else logging.DEBUG,
+            "endpoint omitted token logprobs for %s, or sent unusable ones; falling back to empty logprobs%s",
+            question_id, "; later replies without them are logged at DEBUG" if first else "",
+        )
 
 
 def _generate_or_error(backend, request: BackendRequest) -> Union[BackendResponse, BackendError]:
@@ -971,8 +984,13 @@ def generate_wave(
     """
     width = getattr(backend, "max_in_flight", 1)
     if width <= 1:
+        generate = backend.generate
         for request in requests:
-            yield request, _generate_or_error(backend, request)
+            try:
+                outcome = generate(request)
+            except BackendError as exc:
+                outcome = exc
+            yield request, outcome
         return
     from concurrent.futures import ThreadPoolExecutor
 

@@ -42,6 +42,11 @@ class SignalKind(str, Enum):
     VOTE_ENTROPY = "vote_entropy"
 
 
+#: Builds a validated record from a tuple of fields that are known to be
+#: valid, without the Python-level ``__new__`` of its class.
+_new_tuple = tuple.__new__
+
+
 def _validated_make(cls, iterable):
     """``_make`` of a validated NamedTuple subclass: through ``__new__``, so
     that ``_make`` and ``_replace`` check the fields as the constructor does."""

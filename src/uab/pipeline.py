@@ -15,7 +15,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Union
+from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -24,7 +24,6 @@ from .allocation import ExitKind, ThresholdExitConfig, apply_threshold_exits, gr
 from .backends import (
     BackendError,
     BackendRequest,
-    BackendResponse,
     DEFAULT_MAX_TOKENS,
     DEFAULT_SAMPLING_TEMPERATURE,
     JudgeLabel,
@@ -43,7 +42,7 @@ from .core import (
     SignalKind,
     TaskKind,
     ValidationError,
-    left_sum,
+    _new_tuple,
 )
 from .signals import LOGPROB_SIGNALS
 
@@ -115,6 +114,7 @@ class VoteTally(NamedTuple):
 # ---------------------------------------------------------------------------
 
 _BOXED_MARK = "\\boxed{"
+_BOXED_LEN = len(_BOXED_MARK)
 _NUMBER_RE = re.compile(r"-?\d+(?:,\d{3})*(?:\.\d+)?")
 _INT_RE = re.compile(r"-?\d+")
 _DECIMAL_RE = re.compile(r"-?\d+(?:,\d{3})*\.\d+")
@@ -143,18 +143,9 @@ def canonicalize_answer(raw: str) -> str:
     return s
 
 
-def _last_boxed(text: str) -> Optional[str]:
-    """The content of the last ``\\boxed{...}``, or None when there is none or
-    its braces do not close."""
-    start = text.rfind(_BOXED_MARK)
-    if start < 0:
-        return None
-    begin = start + len(_BOXED_MARK)
-    end = text.find("}", begin)
-    if end < 0:
-        return None
-    if text.find("{", begin, end) < 0:
-        return text[begin:end]
+def _nested_span(text: str, begin: int) -> Optional[str]:
+    """The text from ``begin`` to the ``}`` that closes the brace opened just
+    before it, counting nested braces; None when it does not close."""
     depth = 1
     for j in range(begin, len(text)):
         ch = text[j]
@@ -181,25 +172,37 @@ def _canonical(span: str, memo: Optional[Dict[str, str]]) -> str:
 def parse_answer(text: str, task_kind: TaskKind, memo: Optional[Dict[str, str]] = None) -> Optional[str]:
     """Extract a canonical answer from raw model output, or None to abstain.
 
-    Open-math answers come from the last ``\\boxed{...}``, else the last
-    number-like token; multiple choice takes the last standalone option letter
-    A-J, case-normalized. ``memo``, when given, maps each open-math span
-    already seen to its :func:`canonicalize_answer` form, so that a span that
-    recurs across samples is canonicalized once; the result is the same with
-    or without it.
+    Open-math answers come from the last ``\\boxed{...}``, when its braces
+    close, else from the last number-like token; multiple choice takes the last
+    standalone option letter A-J, case-normalized. ``memo``, when given, maps
+    each open-math span already seen to its :func:`canonicalize_answer` form,
+    so that a span that recurs across samples is canonicalized once; the
+    result is the same with or without it.
     """
     if not text:
         return None
     if task_kind == TaskKind.MULTIPLE_CHOICE:
         letters = _OPTION_RE.findall(text)
         return letters[-1].upper() if letters else None
-    span = _last_boxed(text)
+    span = None
+    begin = text.rfind(_BOXED_MARK)
+    if begin >= 0:
+        begin += _BOXED_LEN
+        end = text.find("}", begin)
+        if end >= 0:
+            span = text[begin:end] if text.find("{", begin, end) < 0 else _nested_span(text, begin)
     if span is None:
         numbers = _NUMBER_RE.findall(text)
         if not numbers:
             return None
         span = numbers[-1]
-    return _canonical(span, memo) or None
+    # _canonical, inline: this runs once per sample
+    if memo is None:
+        return canonicalize_answer(span) or None
+    canonical = memo.get(span)
+    if canonical is None:
+        canonical = memo[span] = canonicalize_answer(span)
+    return canonical or None
 
 
 def _add_votes(counts: Dict[str, int], answers: Sequence[Optional[str]]) -> None:
@@ -231,15 +234,6 @@ def majority_vote(parsed_answers: Sequence[Optional[str]]) -> VoteTally:
     counts: Dict[str, int] = {}
     _add_votes(counts, parsed_answers)
     return VoteTally(counts, _winner(counts))
-
-
-def _answers(samples: Sequence[SampleOutput], task_kind: TaskKind, memo: Dict[str, str]) -> List[Optional[str]]:
-    """The answer each sample votes for; None, an abstention, for one that
-    errored."""
-    return [
-        None if sample.finish_reason == FinishReason.ERROR else parse_answer(sample.text, task_kind, memo)
-        for sample in samples
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -287,17 +281,24 @@ def estimate_difficulties(
         fallbacks[why] = fallbacks.get(why, 0) + 1
         return _fallback_estimate(qid, signal_kind, temperature, why)
 
+    # score_to_prob checks each score, so the estimates built from one skip
+    # the constructor's checks
     if signal_kind in LOGPROB_SIGNALS:
+        logprob_score, score_to_prob, error = signals.logprob_score, signals.score_to_prob, FinishReason.ERROR
         for q in questions:
-            scored = [
-                s.token_logprobs for s in phase1_samples.get(q.id, ())
-                if s.token_logprobs and s.finish_reason != FinishReason.ERROR
-            ]
+            qid = q.id
+            # the mean score of the samples with logprobs, summed from the left
+            total, scored = 0.0, 0
+            for sample in phase1_samples.get(qid, ()):
+                if sample.token_logprobs and sample.finish_reason != error:
+                    total += logprob_score(signal_kind, sample.token_logprobs)
+                    scored += 1
             if not scored:
-                estimates[q.id] = fallback(q.id, "no usable logprobs in Phase 1")
+                estimates[qid] = fallback(qid, "no usable logprobs in Phase 1")
                 continue
-            score = left_sum([signals.logprob_score(signal_kind, lps) for lps in scored]) / len(scored)
-            estimates[q.id] = DifficultyEstimate(q.id, score, signals.score_to_prob(score, temperature), signal_kind)
+            score = total / scored
+            prob = score_to_prob(score, temperature)
+            estimates[qid] = _new_tuple(DifficultyEstimate, (qid, score, prob, signal_kind))
     elif signal_kind == SignalKind.VCS:
         for q in questions:
             texts = [s.text for s in phase1_samples.get(q.id, ()) if s.finish_reason != FinishReason.ERROR]
@@ -320,8 +321,9 @@ def estimate_difficulties(
                 estimates[q.id] = fallback(q.id, "all Phase-1 samples abstained")
                 continue
             entropy = signals.tally_entropy(counts.values())
-            estimates[q.id] = DifficultyEstimate(q.id, entropy, signals.score_to_prob(entropy, temperature),
-                                                 signal_kind)
+            estimates[q.id] = _new_tuple(
+                DifficultyEstimate, (q.id, entropy, signals.score_to_prob(entropy, temperature), signal_kind)
+            )
     else:
         raise ValidationError(f"cannot estimate difficulty for signal {signal_kind}")
     if fallbacks:
@@ -380,13 +382,42 @@ def allocate_baseline(
 # ---------------------------------------------------------------------------
 
 
-def _samples(request: BackendRequest, outcome: Union[BackendResponse, BackendError]) -> List[SampleOutput]:
-    """The samples of one request; a failed request gives none."""
-    if isinstance(outcome, BackendError):
-        logger.warning("generation failed for %s (%s); it contributes no samples",
-                       request.question_id, outcome)
-        return []
-    return outcome.samples
+def _tally_wave(
+    backend,
+    requests: Iterable[BackendRequest],
+    by_id: Mapping[str, QuestionRecord],
+    tallies: Dict[str, Dict[str, int]],
+    memo: Dict[str, str],
+    kept: Optional[Dict[str, List[SampleOutput]]] = None,
+) -> None:
+    """Send ``requests`` as one wave and count each sample's vote in its
+    question's tally as its request comes back.
+
+    A tally keeps first-vote order, as :func:`_add_votes` does. Each sample
+    that did not error is parsed once, with ``memo``; one that errored, or
+    whose answer is None, casts no vote, and a failed request adds no
+    samples. ``kept``, when given, also keeps each request's samples by
+    question.
+    """
+    error = FinishReason.ERROR
+    for req, outcome in generate_wave(backend, requests):
+        qid = req.question_id
+        if isinstance(outcome, BackendError):
+            logger.warning("generation failed for %s (%s); it contributes no samples", qid, outcome)
+            got = []
+        else:
+            got = outcome.samples
+        if kept is not None:
+            kept[qid] = got
+        counts = tallies.get(qid)
+        if counts is None:
+            counts = tallies[qid] = {}
+        task_kind = by_id[qid].task_kind
+        for sample in got:
+            if sample.finish_reason != error:
+                answer = parse_answer(sample.text, task_kind, memo)
+                if answer is not None:
+                    counts[answer] = counts.get(answer, 0) + 1
 
 
 def run_two_phase(
@@ -401,7 +432,8 @@ def run_two_phase(
     Phase 2 draws the extras, and the majority vote runs over all samples of
     both phases. Samples that errored abstain from the vote, and a failed
     request adds none; a question without a vote gets the empty-string
-    sentinel and counts incorrect.
+    sentinel and counts incorrect. Only Phase-1 requests ask for logprobs,
+    as only the estimate reads them.
     Within a phase, requests go out as one wave of up to the backend's
     ``max_in_flight``; samples are kept per question in request order, so
     results do not depend on that width.
@@ -419,14 +451,16 @@ def run_two_phase(
         by_id[q.id] = q
 
     k = config.phase1_samples_k
-    want_logprobs = config.signal_kind in LOGPROB_SIGNALS
     vcs_mode = config.signal_kind == SignalKind.VCS
+    temperature, max_tokens = config.sampling_temperature, config.max_tokens
 
-    def request(q: QuestionRecord, n: int, first_index: int) -> BackendRequest:
-        # positional: question_id, prompt, sample_count, sampling_temperature,
-        # max_tokens, want_logprobs, first_sample_index
-        return BackendRequest(q.id, (q.prompt + "\n\n" + VCS_INSTRUCTION) if vcs_mode else q.prompt, n,
-                              config.sampling_temperature, config.max_tokens, want_logprobs, first_index)
+    def request(q: QuestionRecord, n: int, first_index: int, want_logprobs: bool) -> BackendRequest:
+        # The fields, in order: question_id, prompt, sample_count,
+        # sampling_temperature, max_tokens, want_logprobs,
+        # first_sample_index, judge. PipelineConfig and the Phase-2 filter
+        # keep n >= 1, so the record skips the constructor's checks.
+        prompt = (q.prompt + "\n\n" + VCS_INSTRUCTION) if vcs_mode else q.prompt
+        return _new_tuple(BackendRequest, (q.id, prompt, n, temperature, max_tokens, want_logprobs, first_index, False))
 
     # Each sample is parsed once, as its request comes back, and its vote
     # counted in its question's tally at once; vote entropy reads the Phase-1
@@ -435,11 +469,9 @@ def run_two_phase(
     memo: Dict[str, str] = {}
     samples: Dict[str, List[SampleOutput]] = {}
     tallies: Dict[str, Dict[str, int]] = {}
-    for req, outcome in generate_wave(backend, (request(q, k, 0) for q in questions)):
-        qid = req.question_id
-        samples[qid] = got = _samples(req, outcome)
-        tallies[qid] = counts = {}
-        _add_votes(counts, _answers(got, by_id[qid].task_kind, memo))
+    # only the estimate reads logprobs, and it reads Phase 1 only
+    logprobs = config.signal_kind in LOGPROB_SIGNALS
+    _tally_wave(backend, (request(q, k, 0, logprobs) for q in questions), by_id, tallies, memo, samples)
 
     estimates = estimate_difficulties(questions, samples, tallies, config.signal_kind, config.budget.temperature)
     probs = {qid: est.prob for qid, est in estimates.items()}
@@ -456,14 +488,14 @@ def run_two_phase(
         rng = np.random.default_rng(config.rng_seed)
         alloc = allocate_baseline(config.policy, questions, judge_labels, config.budget, rng)
 
-    phase2 = (request(q, alloc.extras[q.id], k) for q in questions if alloc.extras.get(q.id, 0) > 0)
-    for req, outcome in generate_wave(backend, phase2):
-        qid = req.question_id
-        _add_votes(tallies[qid], _answers(_samples(req, outcome), by_id[qid].task_kind, memo))
+    extras = alloc.extras
+    phase2 = (request(q, extras[q.id], k, False) for q in questions if extras.get(q.id, 0) > 0)
+    _tally_wave(backend, phase2, by_id, tallies, memo)
 
+    # every result uses K + extras >= 1 samples, so the records skip the
+    # constructor's check
     results = []
     policy = config.policy.value
-    extras = alloc.extras
     for q in questions:
         counts = tallies[q.id]
         final = _winner(counts) if counts else ""
@@ -471,5 +503,6 @@ def run_two_phase(
         gold = q.gold_answer
         if gold is not None:
             correct = bool(final) and final == _canonical(gold, memo)
-        results.append(ExperimentResult(q.id, final, correct, k + extras.get(q.id, 0), estimates[q.id], policy))
+        results.append(_new_tuple(ExperimentResult,
+                                  (q.id, final, correct, k + extras.get(q.id, 0), estimates[q.id], policy)))
     return results

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter
+from functools import reduce
 from typing import Collection, Sequence
 
 from .core import SignalKind, ValidationError, left_sum
@@ -29,6 +30,11 @@ class VcsUnparsableError(ValidationError):
         super().__init__(msg)
 
 
+#: ``a - b`` for a float ``a``: NotImplemented, not numpy arithmetic, when
+#: ``b`` is neither a float nor an int.
+_float_sub = float.__sub__
+
+
 def _checked_nlls(token_logprobs: Sequence[float]) -> list[float]:
     if len(token_logprobs) == 0:
         raise ValidationError("no tokens")
@@ -40,27 +46,51 @@ def _checked_nlls(token_logprobs: Sequence[float]) -> list[float]:
     return out
 
 
+def _nll_sum(token_logprobs: Sequence[float]) -> float:
+    """The tokens' negative log-likelihoods summed from the left, once the
+    logprobs are checked to be finite and <= 0.
+
+    The sum does the check. It subtracts each logprob from 0.0 as a float,
+    which takes floats (numpy's float64 too), ints and bools only, so no
+    numpy arithmetic runs; a total below inf has no NaN or -inf term, and a
+    largest logprob <= 0 rules out +inf and positive ones. Logprobs that fail
+    it go through :func:`_checked_nlls`, which raises
+    :class:`ValidationError` naming the first bad one; or, when they were all
+    fine and only their total overflowed or their type kept them out of the
+    sum, sums its NLLs.
+    """
+    try:
+        total = reduce(_float_sub, token_logprobs, 0.0)
+        # no token at all fails too: its max is taken as 1
+        if type(total) is float and total < math.inf and max(token_logprobs, default=1) <= 0:
+            return total
+    except (TypeError, OverflowError):
+        pass
+    return left_sum(_checked_nlls(token_logprobs))
+
+
 def anll(token_logprobs: Sequence[float]) -> float:
     """Average negative log-likelihood of a generation (per-token mean)."""
-    nlls = _checked_nlls(token_logprobs)
-    return left_sum(nlls) / len(nlls)
+    return _nll_sum(token_logprobs) / len(token_logprobs)
 
 
 def total_nll(token_logprobs: Sequence[float]) -> float:
     """Sum of per-token negative log-likelihoods (length-sensitive)."""
-    return left_sum(_checked_nlls(token_logprobs))
+    return _nll_sum(token_logprobs)
 
 
 def token_var(token_logprobs: Sequence[float]) -> float:
     """Population variance of per-token NLLs (divides by L, defined for L=1)."""
-    nlls = _checked_nlls(token_logprobs)
-    mean = left_sum(nlls) / len(nlls)
-    return left_sum((x - mean) ** 2 for x in nlls) / len(nlls)
+    n = len(token_logprobs)
+    mean = _nll_sum(token_logprobs) / n
+    # (nll - mean) ** 2, with nll = -lp and the sign flipped inside the square
+    return left_sum([(lp + mean) ** 2 for lp in map(float, token_logprobs)]) / n
 
 
 def max_token_nll(token_logprobs: Sequence[float]) -> float:
     """Largest per-token negative log-likelihood."""
-    return max(_checked_nlls(token_logprobs))
+    _nll_sum(token_logprobs)
+    return -min(map(float, token_logprobs))
 
 
 _LOGPROB_SCORERS = {

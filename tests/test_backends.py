@@ -1164,7 +1164,50 @@ class _FailingFor:
         return self.inner.generate(request)
 
 
+class _AskingForLogprobs:
+    """Backend wrapper that asks for logprobs in every request."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.max_in_flight = inner.max_in_flight
+
+    def generate(self, request):
+        return self.inner.generate(request._replace(want_logprobs=True))
+
+
 class TestPhaseWaves:
+    @pytest.mark.parametrize("width", [1, 4])
+    def test_only_phase1_posts_ask_for_logprobs(self, stub_server, width):
+        url, state = stub_server
+        questions = _wave_questions()
+        lines = _result_lines(questions, _http_backend(url, max_in_flight=width))
+        m = len(questions)
+        bodies = [body for _, body in state.requests]
+        assert len(bodies) > m
+        # the Phase-1 wave ends before Phase 2 starts
+        assert all(body["n"] == 1 and body["logprobs"] is True for body in bodies[:m])
+        assert all("logprobs" not in body for body in bodies[m:])
+        # only the estimate reads logprobs: Phase-2 ones would change no result
+        assert _result_lines(questions, _AskingForLogprobs(_http_backend(url, max_in_flight=width))) == lines
+        assert all(body["logprobs"] is True for _, body in state.requests[len(bodies):])
+
+    @pytest.mark.parametrize("width", [1, 8])
+    def test_missing_logprobs_warn_once_per_backend(self, stub_server, caplog, width):
+        url, state = stub_server
+        state.with_logprobs = False
+        questions = _wave_questions(20)
+        for _ in range(2):  # each backend warns once
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG, logger="uab.backends"):
+                _result_lines(questions, _http_backend(url, max_in_flight=width))
+            backend_records = [r for r in caplog.records if r.name == "uab.backends"]
+            warnings = [r for r in backend_records if r.levelno >= logging.WARNING]
+            assert len(warnings) == 1
+            assert "omitted token logprobs" in warnings[0].getMessage()
+            # one request of each question asks for logprobs and gets none
+            omitted = [r for r in backend_records if "omitted token logprobs" in r.getMessage()]
+            assert sorted(r.levelno for r in omitted) == [logging.DEBUG] * 19 + [logging.WARNING]
+
     def test_results_do_not_depend_on_width(self, stub_server):
         url, state = stub_server
         state.delay_s = 0.02

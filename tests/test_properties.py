@@ -1,16 +1,20 @@
-"""Property tests of answer canonicalization, the parse memo, the vote, vote
-entropy, the config file format and the water-filling allocator, over
-generated inputs."""
+"""Property tests of answer canonicalization, the parse and its memo, the
+logprob scorers, the vote, vote entropy, the config file format and the
+water-filling allocator, over generated inputs."""
 
+import math
+import re
+
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from uab.allocation import ExitKind, ExitMode, ThresholdExitConfig, _heap_greedy, apply_threshold_exits
 from uab.config import parse_config_text
-from uab.core import TaskKind, ValidationError
+from uab.core import SignalKind, TaskKind, ValidationError, left_sum
 from uab.pipeline import NoVotesError, _add_votes, _winner, canonicalize_answer, majority_vote, parse_answer
-from uab.signals import tally_entropy, vote_entropy
+from uab.signals import LOGPROB_SIGNALS, logprob_score, tally_entropy, vote_entropy
 
 #: Fixed examples in a fixed order, and nothing stored between runs.
 _SETTINGS = settings(derandomize=True, database=None, max_examples=100)
@@ -60,6 +64,138 @@ def test_parse_memo_changes_no_answer(texts, task_kind):
     assert shared == [parse_answer(text, task_kind) for text in texts]
     # and again, with every span already in the memo
     assert shared == [parse_answer(text, task_kind, memo) for text in texts]
+
+
+def _reference_last_boxed(text):
+    start = text.rfind("\\boxed{")
+    if start < 0:
+        return None
+    begin = start + len("\\boxed{")
+    end = text.find("}", begin)
+    if end < 0:
+        return None
+    if text.find("{", begin, end) < 0:
+        return text[begin:end]
+    depth = 1
+    for j in range(begin, len(text)):
+        if text[j] == "{":
+            depth += 1
+        elif text[j] == "}":
+            depth -= 1
+            if depth == 0:
+                return text[begin:j]
+    return None
+
+
+def _reference_parse(text, task_kind, memo=None):
+    """The parse as it was written with a separate span search and memo
+    lookup: the rule that ``parse_answer`` must keep."""
+    if not text:
+        return None
+    if task_kind == TaskKind.MULTIPLE_CHOICE:
+        letters = re.findall(r"\b([A-Ja-j])\b", text)
+        return letters[-1].upper() if letters else None
+    span = _reference_last_boxed(text)
+    if span is None:
+        numbers = re.findall(r"-?\d+(?:,\d{3})*(?:\.\d+)?", text)
+        if not numbers:
+            return None
+        span = numbers[-1]
+    if memo is None:
+        return canonicalize_answer(span) or None
+    if span not in memo:
+        memo[span] = canonicalize_answer(span)
+    return memo[span] or None
+
+
+#: Unclosed and nested boxes, bare numbers, blank and option-letter texts.
+_parse_texts = st.one_of(
+    _texts,
+    _numbers,
+    _dense,
+    st.sampled_from(["", " ", "\\boxed{", "\\boxed{}", "\\boxed{ }", "\\boxed{{}", "\\boxed{{1}}", "}{",
+                     "\\boxed{1} \\boxed{2", "(B) or c", "\\boxed{B}"]),
+    st.lists(st.one_of(_letters, _atoms), max_size=5).map(" ".join),
+)
+
+
+@_SETTINGS
+@given(st.lists(_parse_texts, max_size=12), st.sampled_from(list(TaskKind)))
+@example(["\\boxed{\\frac{1}{2}}", "\\boxed{\\frac{1}{2}", "3 and \\boxed{x", "\\boxed{a}b}"], TaskKind.OPEN_MATH)
+def test_parse_answer_equals_the_reference_parse(texts, task_kind):
+    memo, reference_memo = {}, {}
+    for text in texts:
+        assert parse_answer(text, task_kind) == _reference_parse(text, task_kind)
+        assert parse_answer(text, task_kind, memo) == _reference_parse(text, task_kind, reference_memo)
+    assert memo == reference_memo
+
+
+def _reference_nlls(token_logprobs):
+    if len(token_logprobs) == 0:
+        raise ValidationError("no tokens")
+    out = []
+    for lp in token_logprobs:
+        if not math.isfinite(lp) or lp > 0:
+            raise ValidationError(f"token logprobs must be finite and <= 0, got {lp!r}")
+        out.append(-float(lp))
+    return out
+
+
+def _reference_token_var(token_logprobs):
+    nlls = _reference_nlls(token_logprobs)
+    mean = left_sum(nlls) / len(nlls)
+    return left_sum((x - mean) ** 2 for x in nlls) / len(nlls)
+
+
+#: The scorers as they were written, each over a separately checked list of
+#: NLLs: the values, types and errors that the scorers must keep.
+_REFERENCE_SCORERS = {
+    SignalKind.ANLL: lambda lps: left_sum(_reference_nlls(lps)) / len(_reference_nlls(lps)),
+    SignalKind.TOTAL_NLL: lambda lps: left_sum(_reference_nlls(lps)),
+    SignalKind.TOKEN_VAR: _reference_token_var,
+    SignalKind.MAX_TOKEN_NLL: lambda lps: max(_reference_nlls(lps)),
+}
+
+
+def _score_outcome(score):
+    """``score()``'s type and exact bits, or its error's type and message."""
+    try:
+        value = score()
+    except Exception as exc:  # the error is part of the outcome compared
+        return type(exc), str(exc)
+    return type(value), value.hex() if isinstance(value, float) else repr(value)
+
+
+_floats = st.one_of(
+    st.floats(max_value=0.0),
+    st.floats(),
+    st.sampled_from([0.0, -0.0, -1e308, -1.7e308, -5e-324, float("nan"), float("inf"), -float("inf")]),
+)
+#: Logprobs of every kind a caller could pass: floats, ints (some beyond a
+#: float's range), bools and numpy scalars.
+_logprob = st.one_of(
+    _floats,
+    _floats,
+    st.integers(-10, 2),
+    st.sampled_from([-(10**400), 10**400, -(2**53 + 1)]),
+    st.booleans(),
+    _floats.map(np.float64),
+    st.floats(width=32).map(np.float32),
+    st.integers(-5, 1).map(np.int64),
+)
+
+
+@settings(_SETTINGS, max_examples=400)
+@given(st.lists(_logprob, max_size=10), st.booleans(), st.sampled_from(sorted(LOGPROB_SIGNALS)))
+@example([-1, -2], False, SignalKind.MAX_TOKEN_NLL)
+@example([np.float64(-0.5), -0.25], True, SignalKind.MAX_TOKEN_NLL)
+@example([-1e308, -1e308], False, SignalKind.ANLL)
+@example([-1e200, 0.0], False, SignalKind.TOKEN_VAR)
+@example([0.0, -0.0], True, SignalKind.MAX_TOKEN_NLL)
+@example([float("nan"), 10**400], False, SignalKind.ANLL)
+def test_scorers_equal_the_reference_scorers(logprobs, as_tuple, kind):
+    lps = tuple(logprobs) if as_tuple else logprobs
+    assert _score_outcome(lambda: logprob_score(kind, lps)) == _score_outcome(lambda: _REFERENCE_SCORERS[kind](lps))
 
 
 #: Answers as the parse gives them, abstentions included; a few distinct
