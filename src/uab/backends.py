@@ -35,7 +35,7 @@ from datetime import datetime, timezone
 from enum import Enum
 from functools import partial
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
@@ -257,7 +257,7 @@ _LANE_JUDGE = 2
 _MASK64 = (1 << 64) - 1
 
 #: Questions per memoised chunk of one lane and index
-#: (:meth:`SimulatedBackend._chunks`): the most blocks drawn per stream served.
+#: (:meth:`SimulatedBackend._fill`): the most blocks drawn per stream served.
 _CHUNK = 64
 
 _UNIFORM_SHIFT = np.uint64(11)
@@ -289,7 +289,7 @@ def _sample_text(boxed: str, confidence: int) -> str:
     return f"The final answer is \\boxed{{{boxed}}}. Confidence: {confidence}"
 
 
-#: What :meth:`SimulatedBackend._chunks` derives for the questions of a chunk:
+#: What :meth:`SimulatedBackend._fill` derives for the questions of a chunk:
 #: each one's sample answer (lane 1 only, else None), and each one's two noise
 #: uniforms (in a noisy world only, else None).
 _Chunk = Tuple[Optional[List[int]], Optional[List[List[float]]]]
@@ -327,14 +327,14 @@ class SimulatedBackend:
 
     Lanes 1 and 2 are read in chunks of ``_CHUNK`` adjacent questions: the
     first request that needs a stream of a chunk reads the blocks of all of
-    them and derives their values in one numpy pass (:meth:`_chunks`), and
-    later requests look them up. So a request's samples depend on the request
-    only, whatever order requests come in, and a wave that asks every
-    question for one index, such as Phase 1, costs one draw per chunk. In a
-    noiseless world a sample depends on its question and answer only: the
-    samples live in one table by question and answer, each pair one shared
-    immutable :class:`SampleOutput` built on first use, so a sample costs one
-    lookup in it.
+    them and derives their values in one numpy pass (:meth:`_fill`), and later
+    requests look them up. So a request's samples depend on the request only,
+    whatever order requests come in, and a wave that asks every question for
+    one index, such as Phase 1, costs one draw per chunk. In a noiseless world
+    a sample depends on its question and answer only: the samples live in one
+    table by question and answer, each pair one shared immutable
+    :class:`SampleOutput` built on first use, so a sample costs one lookup in
+    it.
     """
 
     #: The one bit generator and the chunk memo are shared by every call, so
@@ -375,8 +375,15 @@ class SimulatedBackend:
         self._signals: List[Optional[Tuple[Tuple[float, ...], int]]] = [None] * m
         #: Distractor texts by confidence, by answer (:meth:`_text`).
         self._wrong_texts: Dict[int, List[str]] = {}
-        #: :meth:`_chunks`'s values, by ``(lane, index, chunk)``.
-        self._memo: Dict[Tuple[int, int, int], _Chunk] = {}
+        #: :meth:`_fill`'s values at ``[lane][chunk][index]``, None where not
+        #: drawn yet. A chunk's list grows to the highest index asked of it,
+        #: so the memo holds about one slot per value drawn, however the
+        #: samples spread over questions. Lane 0 is the question table above;
+        #: lane 2 reads index 0 only.
+        chunks = range(-(-m // _CHUNK))
+        self._memo: List[List[List[Optional[_Chunk]]]] = [
+            [], [[] for _ in chunks], [[None] for _ in chunks],
+        ]
 
     def _blocks(self, lane: int, index: int, first: int, count: int) -> np.ndarray:
         """The first blocks of the streams ``(q, lane, index)`` for the
@@ -387,14 +394,15 @@ class SimulatedBackend:
         self._bits.state = state
         return self._bits.random_raw(4 * count).reshape(-1, 4)
 
-    def _chunks(self, lane: int, indices: Sequence[int], chunk: int) -> List[_Chunk]:
-        """The values that streams ``(q, lane, index)`` give the questions q
-        of ``chunk`` (questions ``chunk * _CHUNK`` on), for each index in
-        ``indices``. Chunks not yet in the memo are read and derived together,
-        ``_CHUNK`` indices per numpy pass, which bounds a pass's memory when
-        one request asks a question for many samples."""
-        memo = self._memo
-        missing = [index for index in indices if (lane, index, chunk) not in memo]
+    def _fill(self, lane: int, chunk: int, indices: Iterable[int]) -> None:
+        """Put in the memo the values that streams ``(q, lane, index)`` give
+        the questions q of ``chunk`` (questions ``chunk * _CHUNK`` on), for
+        each index in ``indices`` that the memo has no values for yet; its
+        list for the chunk must reach every index. Those are read and derived
+        together, ``_CHUNK`` indices per numpy pass, which bounds a pass's
+        memory when one request asks a question for many samples."""
+        memo = self._memo[lane][chunk]
+        missing = [index for index in indices if memo[index] is None]
         cfg = self.world.config
         first = chunk * _CHUNK
         count = min(_CHUNK, cfg.m_questions - first)
@@ -409,8 +417,8 @@ class SimulatedBackend:
                 answers = np.where(correct, n, (u[..., 1] * n).astype(np.int64)).tolist()
             if cfg.signal_noise_sigma:
                 noise = (u[..., 2:] if lane == _LANE_SAMPLE else u[..., :2]).tolist()
-            memo.update(((lane, index, chunk), entry) for index, entry in zip(part, zip(answers, noise)))
-        return [memo[lane, index, chunk] for index in indices]
+            for index, entry in zip(part, zip(answers, noise)):
+                memo[index] = entry
 
     def _text(self, question: int, answer: int, confidence: int) -> str:
         """The text of a sample of ``question`` at ``confidence`` naming
@@ -437,38 +445,15 @@ class SimulatedBackend:
         )
         return output
 
-    def _samples(self, question: int, first: int, count: int) -> List[SampleOutput]:
-        """Samples ``first`` to ``first + count - 1`` of ``question``."""
-        chunk, offset = divmod(question, _CHUNK)
-        indices = range(first, first + count)
-        memo = self._memo
-        try:
-            drawn = [memo[_LANE_SAMPLE, index, chunk] for index in indices]
-        except KeyError:
-            drawn = self._chunks(_LANE_SAMPLE, indices, chunk)
-        sigma = self._sigma
-        if not sigma:
-            base = question * self._stride
-            outputs = self._outputs
-            return [
-                outputs[base + answers[offset]] or self._shared_output(base + answers[offset])
-                for answers, _ in drawn
-            ]
-        p = float(self._p_star[question])
-        samples = []
-        for answers, noise in drawn:
-            token_logprobs, confidence = _sim_signal(p + _noise(sigma, *noise[offset]), self._world_temperature)
-            text = self._text(question, answers[offset], confidence)
-            samples.append(_new_tuple(SampleOutput, (text, token_logprobs, FinishReason.STOP)))
-        return samples
-
     def _judge_response(self, question: int) -> str:
         perceived = float(self._p_star[question])
         sigma = self._sigma
         if sigma:
             chunk, offset = divmod(question, _CHUNK)
-            [(_, noise)] = self._chunks(_LANE_JUDGE, [0], chunk)
-            perceived += _noise(sigma, *noise[offset])
+            memo = self._memo[_LANE_JUDGE][chunk]
+            if memo[0] is None:
+                self._fill(_LANE_JUDGE, chunk, (0,))
+            perceived += _noise(sigma, *memo[0][1][offset])
         return "easy" if min(max(perceived, 0.0), 1.0) > 0.5 else "hard"
 
     def generate(self, request: BackendRequest) -> BackendResponse:
@@ -478,7 +463,34 @@ class SimulatedBackend:
         if request.judge:
             label = self._judge_response(question)
             return BackendResponse(samples=[SampleOutput(label, (), FinishReason.STOP)] * request.sample_count)
-        samples = self._samples(question, request.first_sample_index, request.sample_count)
+        # Samples first_sample_index on, in one loop over the question's
+        # chunk of the sample lane; the first one not drawn yet draws the
+        # rest of the request with it.
+        chunk, offset = divmod(question, _CHUNK)
+        first = request.first_sample_index
+        stop = first + request.sample_count
+        memo = self._memo[_LANE_SAMPLE][chunk]
+        if len(memo) < stop:
+            memo.extend([None] * (stop - len(memo)))
+        sigma = self._sigma
+        p = float(self._p_star[question]) if sigma else 0.0
+        base = question * self._stride
+        outputs = self._outputs
+        samples = []
+        for index in range(first, stop):
+            entry = memo[index]
+            if entry is None:
+                self._fill(_LANE_SAMPLE, chunk, range(index, stop))
+                entry = memo[index]
+            answer = entry[0][offset]
+            if sigma:
+                token_logprobs, confidence = _sim_signal(p + _noise(sigma, *entry[1][offset]),
+                                                         self._world_temperature)
+                samples.append(_new_tuple(
+                    SampleOutput, (self._text(question, answer, confidence), token_logprobs, FinishReason.STOP)
+                ))
+            else:
+                samples.append(outputs[base + answer] or self._shared_output(base + answer))
         return _new_tuple(BackendResponse, (samples,))
 
 
@@ -816,10 +828,10 @@ class HttpBackend:
         self._pool = _connection_pool(self._url, config.max_in_flight)
         self._headers = _request_headers(self._url, config.api_key)
         self.max_in_flight = config.max_in_flight
-        #: Whether a reply without usable logprobs was warned about; guarded
-        #: by its lock, as wave threads share the backend.
-        self._logprobs_warned = False
-        self._logprobs_lock = threading.Lock()
+        #: What :meth:`_warn_once` warned about; guarded by its lock, as wave
+        #: threads share the backend.
+        self._warned: Set[str] = set()
+        self._warned_lock = threading.Lock()
 
     # -- request plumbing ---------------------------------------------------
 
@@ -930,10 +942,14 @@ class HttpBackend:
             }
             if request.want_logprobs:
                 payload["logprobs"] = True
-            data = self._post_with_retries(json.dumps(payload, allow_nan=False).encode("utf-8"))
-            choices = data.get("choices") or []
-            if not isinstance(choices, list):
-                raise BackendError(f"reply choices are not a JSON array: {choices!r:.200}")
+            choices = self._choices(payload)
+            if len(choices) == 1 and len(missing) > 1:
+                # an endpoint that ignores n: the rest one POST each
+                self._warn_once("endpoint returned 1 choice for n=%d; fetching the other samples one request each",
+                                len(missing))
+                payload["n"] = 1
+                for _ in missing[1:]:
+                    choices += self._choices(payload)
             if len(choices) != len(missing):
                 raise BackendError(
                     f"endpoint returned {len(choices)} choices for n={len(missing)}"
@@ -948,26 +964,41 @@ class HttpBackend:
             if request.want_logprobs and any(
                 not s.token_logprobs and s.finish_reason != FinishReason.ERROR for s in fetched
             ):
-                self._missing_logprobs(request.question_id)
+                self._warn_once("endpoint omitted token logprobs for %s, or sent unusable ones; "
+                                "falling back to empty logprobs", request.question_id)
         return BackendResponse(samples=outputs)
 
-    def _missing_logprobs(self, question_id: str) -> None:
-        """Log that a reply for ``question_id`` came without usable logprobs:
-        a WARNING the first time for this backend, DEBUG after that."""
-        with self._logprobs_lock:
-            first, self._logprobs_warned = not self._logprobs_warned, True
+    def _choices(self, payload: dict) -> list:
+        """The choices of the reply to ``payload``, POSTed with retries."""
+        data = self._post_with_retries(json.dumps(payload, allow_nan=False).encode("utf-8"))
+        choices = data.get("choices") or []
+        if not isinstance(choices, list):
+            raise BackendError(f"reply choices are not a JSON array: {choices!r:.200}")
+        if payload["n"] == 1 and len(choices) != 1:
+            raise BackendError(f"endpoint returned {len(choices)} choices for n=1")
+        return choices
+
+    def _warn_once(self, message: str, *args: object) -> None:
+        """Log ``message % args``: a WARNING the first time this backend logs
+        ``message``, DEBUG after that."""
+        with self._warned_lock:
+            first = message not in self._warned
+            self._warned.add(message)
         logger.log(
             logging.WARNING if first else logging.DEBUG,
-            "endpoint omitted token logprobs for %s, or sent unusable ones; falling back to empty logprobs%s",
-            question_id, "; later replies without them are logged at DEBUG" if first else "",
+            message + ("; later ones are logged at DEBUG" if first else ""), *args,
         )
 
 
 def _generate_or_error(backend, request: BackendRequest) -> Union[BackendResponse, BackendError]:
+    """``backend.generate(request)``, or the :class:`BackendError` it raised,
+    without its traceback: the traceback's frames lead back to the thread
+    pool's work item, which keeps this return value, and that reference cycle
+    would outlive the wave until a garbage collection."""
     try:
         return backend.generate(request)
     except BackendError as exc:
-        return exc
+        return exc.with_traceback(None)
 
 
 def generate_wave(

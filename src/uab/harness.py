@@ -47,8 +47,9 @@ from .core import (
     coverage_objective,
     left_sum,
     marginal_gain,
+    residual_failure_power,
 )
-from .pipeline import PipelineConfig, run_two_phase
+from .pipeline import PipelineConfig, collection_paused, run_two_phase
 from .signals import anll, score_to_prob
 
 logger = logging.getLogger(__name__)
@@ -103,11 +104,14 @@ def pearson_r(x: Sequence[float], y: Sequence[float]) -> float:
         raise ValidationError("need at least two points")
     mx = left_sum(x) / n
     my = left_sum(y) / n
-    sxx = left_sum((a - mx) ** 2 for a in x)
-    syy = left_sum((b - my) ** 2 for b in y)
+    # the three sums in one pass, each added from the left as left_sum does
+    sxx = syy = sxy = 0.0
+    for a, b in zip(x, y):
+        sxx += (a - mx) ** 2
+        syy += (b - my) ** 2
+        sxy += (a - mx) * (b - my)
     if sxx == 0 or syy == 0:
         raise ValidationError("undefined correlation: zero variance input")
-    sxy = left_sum((a - mx) * (b - my) for a, b in zip(x, y))
     return sxy / math.sqrt(sxx * syy)
 
 
@@ -181,6 +185,7 @@ def build_backend(config: ExperimentConfig, world: Optional[SimulatedWorld], see
     return HttpBackend(config.http, cache=cache, run_seed=seed)
 
 
+@collection_paused
 def run_experiment(config: ExperimentConfig) -> MetricReport:
     """Run the configured pipeline once per seed and aggregate the metrics.
 
@@ -204,7 +209,10 @@ def run_experiment(config: ExperimentConfig) -> MetricReport:
     coverages: List[float] = []
     saved_pcts: List[float] = []
     issued_total = 0
-    pooled: List[Tuple[float, Optional[bool], int]] = []  # (score, correct, extras)
+    # every completed seed's results, pooled in order
+    scores: List[float] = []
+    corrects: List[Optional[bool]] = []
+    extras: List[int] = []
     completed = 0
 
     for seed in config.seeds:
@@ -218,34 +226,45 @@ def run_experiment(config: ExperimentConfig) -> MetricReport:
         completed += 1
         write_results_jsonl(results, out_dir / f"{pipeline_cfg.policy.value}_seed{seed}.jsonl")
 
-        graded = [r for r in results if r.correct is not None]
-        accs.append(sum(1.0 for r in graded if r.correct) / len(graded) if graded else float("nan"))
-        extras = {r.question_id: r.samples_used - k for r in results}
-        probs = {r.question_id: r.difficulty.prob for r in results}
-        alloc = AllocationVector(extras, phase2_budget)
-        coverages.append(coverage_objective(alloc, probs) / len(results))
-        saved = phase2_budget - alloc.total_extras()
-        saved_pcts.append(100.0 * saved / phase2_budget if phase2_budget > 0 else 0.0)
-        issued_total += sum(r.samples_used for r in results)
+        # One pass over the results. Coverage is the coverage objective of
+        # the realized extras under the estimated probabilities: its terms
+        # added from the left in result order, as coverage_objective adds
+        # them. The run checked both already: each p came from a checked
+        # estimate, and the allocation from the allocator.
+        graded = right = issued = 0
+        coverage = 0.0
         for r in results:
-            pooled.append((r.difficulty.score, r.correct, r.samples_used - k))
+            used, estimate, correct = r.samples_used, r.difficulty, r.correct
+            issued += used
+            if correct is not None:
+                graded += 1
+                right += correct
+            coverage += 1.0 - residual_failure_power(estimate.prob, 1 + used - k)
+            scores.append(estimate.score)
+            corrects.append(correct)
+            extras.append(used - k)
+        accs.append(right / graded if graded else float("nan"))
+        coverages.append(coverage / len(results))
+        saved = phase2_budget - (issued - k * len(results))
+        saved_pcts.append(100.0 * saved / phase2_budget if phase2_budget > 0 else 0.0)
+        issued_total += issued
 
     if completed == 0:
         raise RuntimeError("every seed failed; see log for details")
 
     pearson: Optional[float] = None
-    graded_pool = [(s, 1.0 if c else 0.0) for s, c, _ in pooled if c is not None]
-    if len(graded_pool) >= 2:
+    graded_scores = [s for s, c in zip(scores, corrects) if c is not None]
+    if len(graded_scores) >= 2:
         try:
-            pearson = pearson_r([s for s, _ in graded_pool], [c for _, c in graded_pool])
+            pearson = pearson_r(graded_scores, [1.0 if c else 0.0 for c in corrects if c is not None])
         except ValidationError:
             pearson = None
 
     deciles: Optional[List[float]] = None
-    if len(pooled) >= 10:
+    if len(scores) >= 10:
         # a stable sort: equal scores keep pooled order
-        order = np.argsort(np.array([score for score, _, _ in pooled]), kind="stable")
-        extras_pooled = np.array([extras for _, _, extras in pooled])
+        order = np.argsort(np.array(scores), kind="stable")
+        extras_pooled = np.array(extras)
         deciles = [float(np.mean(extras_pooled[chunk])) for chunk in np.array_split(order, 10)]
 
     acc_arr = np.asarray(accs, dtype=float)

@@ -1,4 +1,16 @@
+import gc
+
 import pytest
+
+
+@pytest.fixture(autouse=True)
+def collection_left_enabled():
+    """Fails a test that leaves automatic garbage collection off, such as a
+    run's pause that was not undone, and turns it back on for the next test."""
+    yield
+    if not gc.isenabled():
+        gc.enable()
+        pytest.fail("the test left automatic garbage collection disabled")
 
 
 class CountingBackend:
@@ -23,3 +35,21 @@ class CountingBackend:
 def counting():
     """Wraps a backend in a :class:`CountingBackend`."""
     return CountingBackend
+
+
+def _cyclic_garbage(run) -> int:
+    """The objects that ``gc.collect()`` finds unreachable after ``run()``,
+    called with automatic collection off, from a collected heap."""
+    gc.collect()
+    gc.disable()
+    try:
+        run()
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+@pytest.fixture
+def cyclic_garbage():
+    """Counts the cyclic garbage a call leaves (:func:`_cyclic_garbage`)."""
+    return _cyclic_garbage

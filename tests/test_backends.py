@@ -660,6 +660,8 @@ class _StubState:
         #: Called with each request body that is not refused; a bytes result
         #: is sent as the whole body of a 200 reply in place of the usual one.
         self.raw_reply = None
+        #: Whether replies hold one choice whatever the request's n.
+        self.ignore_n = False
 
 
 def _make_stub_handler(state: _StubState):
@@ -697,7 +699,7 @@ def _make_stub_handler(state: _StubState):
                 return
             # replies are a pure function of the prompt and the choice index
             prompt = body["messages"][0]["content"]
-            n = body.get("n", 1)
+            n = 1 if state.ignore_n else body.get("n", 1)
             choices = []
             for i in range(n):
                 choice = {
@@ -988,6 +990,46 @@ class TestHttpBackend:
         assert (cache.hits, cache.misses) == (1, 1)
         assert cache.get(key) == clean.samples[0]
 
+    def test_endpoint_that_ignores_n_gets_single_sample_posts(self, stub_server, tmp_path, caplog):
+        url, state = stub_server
+        clean = _http_backend(url).generate(BackendRequest("q1", "p", 3, first_sample_index=2))
+        state.requests.clear()
+        state.ignore_n = True
+        cache = ResponseCache(tmp_path)
+        backend = _http_backend(url, cache=cache)
+        with caplog.at_level(logging.DEBUG, logger="uab.backends"):
+            for prompt in ("p", "another prompt"):
+                resp = backend.generate(BackendRequest("q1", prompt, 3, first_sample_index=2))
+                assert len(resp.samples) == 3
+        # the first POST asks for all three; the other two samples one each
+        assert [body["n"] for _, body in state.requests] == [3, 1, 1] * 2
+        # every choice of the stub is choice 0 of its reply
+        assert [s.text for s in backend.generate(BackendRequest("q1", "p", 3, first_sample_index=2)).samples] == (
+            [clean.samples[0].text] * 3
+        )
+        assert len(state.requests) == 6  # replayed from the cache, one entry per sample index
+        assert (cache.hits, cache.misses) == (3, 6)
+        ignored = [r for r in caplog.records if "returned 1 choice for n=3" in r.getMessage()]
+        assert [r.levelno for r in ignored] == [logging.WARNING, logging.DEBUG]
+        # each backend warns once
+        with caplog.at_level(logging.WARNING, logger="uab.backends"):
+            caplog.clear()
+            _http_backend(url).generate(BackendRequest("q1", "p", 2))
+        assert "returned 1 choice for n=2" in caplog.text
+
+    @pytest.mark.parametrize("counts", [[2], [0], [1, 0], [1, 2]], ids=["two-of-3", "none-of-3", "none-of-1",
+                                                                        "two-of-1"])
+    def test_other_choice_counts_fail_the_request(self, stub_server, tmp_path, counts):
+        url, state = stub_server
+        replies = list(counts)
+        state.raw_reply = lambda body: json.dumps({"choices": [
+            {"message": {"content": "\\boxed{1}"}, "finish_reason": "stop"}
+        ] * replies.pop(0)}).encode()
+        with pytest.raises(BackendError, match="choices for n="):
+            _http_backend(url, cache=ResponseCache(tmp_path)).generate(BackendRequest("q1", "p", 3))
+        assert [body["n"] for _, body in state.requests] == [3, 1][:len(counts)]
+        assert list(tmp_path.iterdir()) == []
+
     def test_malformed_reply_exhausts_retries(self, stub_server):
         url, state = stub_server
         state.raw_reply = lambda body: b'{"choices": ['
@@ -1207,6 +1249,28 @@ class TestPhaseWaves:
             # one request of each question asks for logprobs and gets none
             omitted = [r for r in backend_records if "omitted token logprobs" in r.getMessage()]
             assert sorted(r.levelno for r in omitted) == [logging.DEBUG] * 19 + [logging.WARNING]
+
+    def test_http_run_leaves_no_cyclic_garbage(self, stub_server, caplog, cyclic_garbage):
+        url, state = stub_server
+        questions = _wave_questions(20)
+        doomed = questions[3].prompt
+        # a 503 and a malformed reply, each retried once, and every reply for
+        # one question malformed, so that its requests fail after retries
+        state.fail_statuses = [503]
+        once = [b'{"choices": [']
+
+        def raw_reply(body):
+            if body["messages"][0]["content"] == doomed:
+                return b"<html>busy</html>"
+            return once.pop() if once else None
+
+        state.raw_reply = raw_reply
+        lines = []
+        assert cyclic_garbage(lambda: lines.extend(_result_lines(questions, _http_backend(url)))) == 0
+        assert "retry 1/3 after HTTP 503" in caplog.text
+        assert "retry 1/3 after unparsable reply" in caplog.text
+        assert "generation failed for w3" in caplog.text
+        assert [json.loads(line)["final_answer"] == "" for line in lines] == [i == 3 for i in range(20)]
 
     def test_results_do_not_depend_on_width(self, stub_server):
         url, state = stub_server

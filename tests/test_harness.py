@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import gc
 import hashlib
 import itertools
 import json
@@ -11,7 +12,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from uab.backends import BetaLaw, FixedProbs, WorldConfig
+from uab.backends import BackendError, BetaLaw, FixedProbs, SimulatedBackend, SimulatedWorld, WorldConfig
 from uab.core import BudgetSpec, DifficultyEstimate, ExperimentResult, SignalKind, ValidationError
 from uab.harness import (
     ExperimentConfig,
@@ -20,7 +21,7 @@ from uab.harness import (
     run_experiment,
     verify_suite,
 )
-from uab.pipeline import PipelineConfig, Policy
+from uab.pipeline import PipelineConfig, Policy, run_two_phase
 from uab.allocation import ExitKind, ExitMode, ThresholdExitConfig
 from uab import pipeline, signals
 
@@ -223,6 +224,143 @@ class TestRunExperiment:
         assert (config.output_dir / "uab_seed0.jsonl").exists()
         assert not (config.output_dir / "uab_seed1.jsonl").exists()
         assert (config.output_dir / "uab_seed2.jsonl").exists()
+
+
+class _Failing:
+    """A simulated backend whose every request for one question fails."""
+
+    max_in_flight = 1
+
+    def __init__(self, world, question_id):
+        self.inner = SimulatedBackend(world, run_seed=0)
+        self.question_id = question_id
+
+    def generate(self, request):
+        if request.question_id == self.question_id:
+            raise BackendError("injected failure")
+        return self.inner.generate(request)
+
+
+class _Raising:
+    """A backend that records whether collection was on at each request and
+    raises an error that is not a BackendError."""
+
+    max_in_flight = 1
+
+    def __init__(self):
+        self.enabled = []
+
+    def generate(self, request):
+        self.enabled.append(gc.isenabled())
+        raise RuntimeError("backend fell over")
+
+
+class TestCollectionPause:
+    """A run turns automatic garbage collection off while it runs and leaves
+    the caller's state as it found it; a run leaves no cyclic garbage, so the
+    pause frees nothing later than it would have been freed."""
+
+    @pytest.fixture(params=[True, False], ids=["enabled", "disabled"])
+    def collection(self, request):
+        """Automatic collection as the test's caller set it."""
+        (gc.enable if request.param else gc.disable)()
+        try:
+            yield request.param
+        finally:
+            gc.enable()
+
+    def test_run_two_phase_restores_the_callers_state(self, collection):
+        world = SimulatedWorld(WorldConfig(m_questions=20, rng_seed=1))
+        seen = []
+
+        class Recording(SimulatedBackend):
+            def generate(self, request):
+                seen.append(gc.isenabled())
+                return super().generate(request)
+
+        run_two_phase(world.questions, Recording(world), PipelineConfig(budget=BudgetSpec(4, 20)))
+        assert gc.isenabled() is collection
+        assert len(seen) > 20 and not any(seen)
+
+    def test_run_two_phase_restores_the_callers_state_when_it_raises(self, collection):
+        world = SimulatedWorld(WorldConfig(m_questions=5, rng_seed=1))
+        backend = _Raising()
+        with pytest.raises(RuntimeError, match="fell over"):
+            run_two_phase(world.questions, backend, PipelineConfig(budget=BudgetSpec(4, 5)))
+        assert backend.enabled == [False]
+        assert gc.isenabled() is collection
+
+    def test_run_experiment_restores_the_callers_state(self, tmp_path, collection):
+        run_experiment(make_config(tmp_path, seeds=(0,)))
+        assert gc.isenabled() is collection
+
+    def test_run_experiment_restores_the_callers_state_when_every_seed_fails(
+        self, tmp_path, monkeypatch, collection
+    ):
+        import uab.harness as harness_mod
+
+        def failing(questions, backend, cfg):
+            raise RuntimeError("backend fell over")
+
+        monkeypatch.setattr(harness_mod, "run_two_phase", failing)
+        with pytest.raises(RuntimeError, match="every seed failed"):
+            run_experiment(make_config(tmp_path, seeds=(0, 1)))
+        assert gc.isenabled() is collection
+
+    def test_run_experiment_restores_the_callers_state_on_a_partial_run(self, tmp_path, monkeypatch, collection):
+        import uab.harness as harness_mod
+        from uab.harness import PartialRunError
+
+        real = harness_mod.run_two_phase
+        enabled = []
+
+        def flaky(questions, backend, cfg):
+            enabled.append(gc.isenabled())
+            if cfg.rng_seed == 1:
+                raise RuntimeError("backend fell over")
+            return real(questions, backend, cfg)
+
+        monkeypatch.setattr(harness_mod, "run_two_phase", flaky)
+        with pytest.raises(PartialRunError):
+            run_experiment(make_config(tmp_path, seeds=(0, 1)))
+        assert enabled == [False, False]
+        assert gc.isenabled() is collection
+
+    @pytest.mark.parametrize(
+        "sigma, policy, signal",
+        [
+            (0.0, Policy.UAB, SignalKind.ANLL),
+            (0.15, Policy.UAB, SignalKind.ANLL),
+            (0.15, Policy.LLM_JUDGE, SignalKind.ANLL),
+            (0.0, Policy.UAB, SignalKind.VOTE_ENTROPY),
+        ],
+        ids=["noiseless", "noisy", "llm_judge", "vote_entropy"],
+    )
+    def test_run_leaves_no_cyclic_garbage(self, tmp_path, cyclic_garbage, sigma, policy, signal):
+        m = 300
+        config = ExperimentConfig(
+            pipeline=PipelineConfig(
+                budget=BudgetSpec(4, m), policy=policy, signal_kind=signal,
+                phase1_samples_k=2 if signal == SignalKind.VOTE_ENTROPY else 1,
+            ),
+            world=WorldConfig(m_questions=m, prob_law=BetaLaw(2, 2), signal_noise_sigma=sigma,
+                              correlation_rho=0.2, rng_seed=5),
+            seeds=(0, 1),
+            output_dir=tmp_path,
+        )
+        assert cyclic_garbage(lambda: run_experiment(config)) == 0
+
+    def test_run_with_failed_requests_leaves_no_cyclic_garbage(self, caplog, cyclic_garbage):
+        world = SimulatedWorld(WorldConfig(m_questions=200, rng_seed=5))
+        results = []
+
+        def run():
+            failing = _Failing(world, world.questions[7].id)
+            results.extend(run_two_phase(world.questions, failing, PipelineConfig(budget=BudgetSpec(4, 200))))
+
+        assert cyclic_garbage(run) == 0
+        assert results[7].final_answer == ""
+        assert "generation failed for q00007" in caplog.text
 
 
 class TestVerifySuite:
