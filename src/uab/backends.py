@@ -12,9 +12,15 @@ declare ``max_in_flight``, the number of ``generate`` calls it serves at once.
 :func:`generate_wave` sends a batch of independent requests within that bound;
 a backend that declares no ``max_in_flight`` is called serially. Whatever a
 backend returns comes back through ``generate``, one request at a time: that
-is the one place where a caller sees, counts or times it. The simulator draws
-its values in chunks of adjacent questions, each once, on first use, so its
-``generate`` needs nothing but the request.
+is the one place where a caller sees, counts or times it. A backend may also
+declare ``prepare_wave(requests)``, which :func:`generate_wave` calls with the
+whole wave before its first ``generate``: it may draw ahead only what
+``generate`` would otherwise draw itself, and what ``generate`` returns must
+not depend on whether it ran. The simulator declares it, to read each index a
+wave needs in one pass over adjacent questions; without it, the simulator
+reads its values in chunks of adjacent questions, each once, on first use,
+so its ``generate`` needs nothing but the request. :class:`HttpBackend` does
+not declare it.
 """
 
 from __future__ import annotations
@@ -256,11 +262,19 @@ _LANE_JUDGE = 2
 
 _MASK64 = (1 << 64) - 1
 
-#: Questions per memoised chunk of one lane and index
-#: (:meth:`SimulatedBackend._fill`): the most blocks drawn per stream served.
+#: Questions per memoised chunk of one lane and index (:meth:`SimulatedBackend._fill`):
+#: the most blocks a request's memo miss reads per sample, and the most
+#: chunks one ``random_raw`` call reads.
 _CHUNK = 64
 
+#: The most blocks :meth:`SimulatedBackend._fill` derives in one numpy pass:
+#: ``_CHUNK`` indices of one chunk, or one index over ``_CHUNK`` chunks.
+_PASS_BLOCKS = _CHUNK * _CHUNK
+
 _UNIFORM_SHIFT = np.uint64(11)
+
+#: The finish reason of every simulated sample, read once per sample.
+_STOP = FinishReason.STOP
 
 
 def _uniform(words: np.ndarray) -> np.ndarray:
@@ -325,13 +339,18 @@ class SimulatedBackend:
     Noise is the Box–Muller normal of two words (:func:`_noise`), computed
     with :mod:`math` so that transcripts do not depend on numpy's code.
 
-    Lanes 1 and 2 are read in chunks of ``_CHUNK`` adjacent questions: the
-    first request that needs a stream of a chunk reads the blocks of all of
-    them and derives their values in one numpy pass (:meth:`_fill`), and later
-    requests look them up. So a request's samples depend on the request only,
-    whatever order requests come in, and a wave that asks every question for
-    one index, such as Phase 1, costs one draw per chunk. In a noiseless world
-    a sample depends on its question and answer only: the samples live in one
+    Lanes 1 and 2 are memoised in chunks of ``_CHUNK`` adjacent questions per
+    index, each read once, when first needed, by :meth:`_fill`. Before a wave,
+    :meth:`prepare_wave` reads every chunk the wave needs that the memo lacks:
+    one ``random_raw`` call per index over each run of adjacent chunks, so a
+    wave that asks every question for one index, such as Phase 1, reads that
+    index in one call (up to ``_CHUNK`` chunks per call). A request whose
+    values are still missing when it is served reads its own chunk, one block
+    row per sample. Either way a value depends on its counter only, so a
+    request's samples depend on the request only, whatever order requests
+    come in and whether the wave was prepared. In a noiseless world a sample
+    depends on its question and answer only: each question's signal and gold
+    text are computed when the backend is built, and the samples live in one
     table by question and answer, each pair one shared immutable
     :class:`SampleOutput` built on first use, so a sample costs one lookup in
     it.
@@ -369,10 +388,21 @@ class SimulatedBackend:
         self._world_temperature = cfg.world_temperature
         #: Answers per question: the distractors, then the gold answer.
         self._stride = cfg.n_distractors + 1
-        #: Noiseless samples at ``question * _stride + answer``, and noiseless
-        #: signals by question, each built on first use.
+        #: Noiseless samples at ``question * _stride + answer``, each built on
+        #: first use.
         self._outputs: List[Optional[SampleOutput]] = [None] * (m * self._stride)
-        self._signals: List[Optional[Tuple[Tuple[float, ...], int]]] = [None] * m
+        #: In a noiseless world, each question's signal (its token logprobs
+        #: and confidence) and gold text; None in a noisy world, where each
+        #: sample has its own signal.
+        self._noiseless: Optional[List[Tuple[Tuple[float, ...], int, str]]] = None
+        if not self._sigma:
+            t = self._world_temperature
+            self._noiseless = [
+                (token_logprobs, confidence, _sample_text(q.gold_answer, confidence))
+                for (token_logprobs, confidence), q in zip(
+                    (_sim_signal(p, t) for p in world.p_star.tolist()), world.questions
+                )
+            ]
         #: Distractor texts by confidence, by answer (:meth:`_text`).
         self._wrong_texts: Dict[int, List[str]] = {}
         #: :meth:`_fill`'s values at ``[lane][chunk][index]``, None where not
@@ -380,7 +410,8 @@ class SimulatedBackend:
         #: so the memo holds about one slot per value drawn, however the
         #: samples spread over questions. Lane 0 is the question table above;
         #: lane 2 reads index 0 only.
-        chunks = range(-(-m // _CHUNK))
+        self._n_chunks = -(-m // _CHUNK)
+        chunks = range(self._n_chunks)
         self._memo: List[List[List[Optional[_Chunk]]]] = [
             [], [[] for _ in chunks], [[None] for _ in chunks],
         ]
@@ -394,31 +425,101 @@ class SimulatedBackend:
         self._bits.state = state
         return self._bits.random_raw(4 * count).reshape(-1, 4)
 
-    def _fill(self, lane: int, chunk: int, indices: Iterable[int]) -> None:
-        """Put in the memo the values that streams ``(q, lane, index)`` give
-        the questions q of ``chunk`` (questions ``chunk * _CHUNK`` on), for
-        each index in ``indices`` that the memo has no values for yet; its
-        list for the chunk must reach every index. Those are read and derived
-        together, ``_CHUNK`` indices per numpy pass, which bounds a pass's
-        memory when one request asks a question for many samples."""
-        memo = self._memo[lane][chunk]
-        missing = [index for index in indices if memo[index] is None]
+    def _fill(self, lane: int, reads: Iterable[Sequence[int]]) -> None:
+        """Put in the memo the values of each read ``(index, lo, hi)``: those
+        that streams ``(q, lane, index)`` give the questions q of chunks
+        ``lo`` to ``hi - 1``, at most ``_CHUNK`` chunks, none of which the
+        memo has values for at that index yet; each chunk's list must reach
+        the index. Each read is one ``random_raw`` call, and reads are
+        derived together, at most ``_PASS_BLOCKS`` blocks per numpy pass,
+        which bounds a pass's memory however many values a wave needs."""
+        m = self.world.config.m_questions
+        spans: List[Tuple[int, int, int]] = []
+        size = 0
+        for index, lo, hi in reads:
+            first, stop = lo * _CHUNK, min(hi * _CHUNK, m)
+            if size + stop - first > _PASS_BLOCKS:
+                self._derive(lane, spans)
+                spans, size = [], 0
+            spans.append((index, first, stop))
+            size += stop - first
+        if spans:
+            self._derive(lane, spans)
+
+    def _derive(self, lane: int, spans: Sequence[Tuple[int, int, int]]) -> None:
+        """One numpy pass of :meth:`_fill`: reads the streams ``(q, lane,
+        index)`` of the questions q from ``first`` to ``stop - 1`` of each
+        span ``(index, first, stop)``, derives their values and puts them in
+        the memo by chunk."""
         cfg = self.world.config
-        first = chunk * _CHUNK
-        count = min(_CHUNK, cfg.m_questions - first)
-        for lo in range(0, len(missing), _CHUNK):
-            part = missing[lo:lo + _CHUNK]
-            blocks = [self._blocks(lane, index, first, count) for index in part]
-            u = _uniform(blocks[0][None] if len(blocks) == 1 else np.stack(blocks))
-            answers = noise = [None] * len(part)
-            if lane == _LANE_SAMPLE:
-                n = cfg.n_distractors
-                correct = u[..., 0] < self._threshold[first:first + count]
-                answers = np.where(correct, n, (u[..., 1] * n).astype(np.int64)).tolist()
-            if cfg.signal_noise_sigma:
-                noise = (u[..., 2:] if lane == _LANE_SAMPLE else u[..., :2]).tolist()
-            for index, entry in zip(part, zip(answers, noise)):
-                memo[index] = entry
+        u = _uniform(np.concatenate([self._blocks(lane, index, first, stop - first) for index, first, stop in spans]))
+        answers = noise = None
+        if lane == _LANE_SAMPLE:
+            n = cfg.n_distractors
+            threshold = np.concatenate([self._threshold[first:stop] for _, first, stop in spans])
+            answers = np.where(u[:, 0] < threshold, n, (u[:, 1] * n).astype(np.int64)).tolist()
+        if self._sigma:
+            noise = (u[:, 2:] if lane == _LANE_SAMPLE else u[:, :2]).tolist()
+        memo = self._memo[lane]
+        row = 0
+        for index, first, stop in spans:
+            for start in range(first, stop, _CHUNK):
+                lo, hi = row + start - first, row + min(start + _CHUNK, stop) - first
+                memo[start // _CHUNK][index] = (
+                    None if answers is None else answers[lo:hi], None if noise is None else noise[lo:hi]
+                )
+            row += stop - first
+
+    def _reads(self, lane: int, keys: Iterable[int]) -> List[List[int]]:
+        """The reads ``[index, lo, hi]`` for :meth:`_fill` of the streams at
+        ``keys``, each ``index * _n_chunks + chunk``, that the memo has no
+        values for: runs of adjacent chunks of one index, at most ``_CHUNK``
+        chunks each, in index order. Lengthens each chunk's list in the memo
+        to reach the indices asked of it."""
+        width = self._n_chunks
+        memo = self._memo[lane]
+        reads: List[List[int]] = []
+        for key in sorted(keys):
+            index, chunk = divmod(key, width)
+            slots = memo[chunk]
+            if len(slots) <= index:
+                slots.extend([None] * (index + 1 - len(slots)))
+            if slots[index] is not None:
+                continue
+            last = reads[-1] if reads else None
+            if last is not None and last[0] == index and last[2] == chunk and chunk - last[1] < _CHUNK:
+                last[2] = chunk + 1
+            else:
+                reads.append([index, chunk, chunk + 1])
+        return reads
+
+    def prepare_wave(self, requests: Iterable[BackendRequest]) -> None:
+        """Read ahead what :meth:`generate` will read to serve ``requests``:
+        every chunk of lanes 1 and 2 that they need and the memo lacks, one
+        ``random_raw`` call per index over each run of adjacent chunks. It
+        draws nothing that serving the requests one at a time would not, and
+        skips requests for unknown questions, which :meth:`generate` fails."""
+        index_of = self.world.index.get
+        # the (chunk, first index, count, judge) of the requests, each once:
+        # the questions of a chunk mostly ask for the same samples
+        wanted: Set[Tuple[int, int, int, bool]] = set()
+        for request in requests:
+            question = index_of(request.question_id)
+            if question is not None:
+                wanted.add((question // _CHUNK, request.first_sample_index, request.sample_count, request.judge))
+        width = self._n_chunks
+        samples: Set[int] = set()
+        judged: Set[int] = set()
+        for chunk, first, count, judge in wanted:
+            if judge:
+                judged.add(chunk)
+            else:
+                # the keys index * width + chunk of the samples asked for
+                samples.update(range(first * width + chunk, (first + count) * width + chunk, width))
+        if judged and self._sigma:
+            self._fill(_LANE_JUDGE, self._reads(_LANE_JUDGE, judged))
+        if samples:
+            self._fill(_LANE_SAMPLE, self._reads(_LANE_SAMPLE, samples))
 
     def _text(self, question: int, answer: int, confidence: int) -> str:
         """The text of a sample of ``question`` at ``confidence`` naming
@@ -433,16 +534,12 @@ class SimulatedBackend:
         return wrong[answer]
 
     def _shared_output(self, key: int) -> SampleOutput:
-        """The noiseless sample ``question * _stride + answer``, built and
-        kept; each question's signal is computed once."""
+        """The noiseless sample ``question * _stride + answer``, built and kept."""
         question, answer = divmod(key, self._stride)
-        signal = self._signals[question]
-        if signal is None:
-            signal = self._signals[question] = _sim_signal(float(self._p_star[question]), self._world_temperature)
-        token_logprobs, confidence = signal
-        output = self._outputs[key] = _new_tuple(
-            SampleOutput, (self._text(question, answer, confidence), token_logprobs, FinishReason.STOP)
-        )
+        token_logprobs, confidence, text = self._noiseless[question]
+        if answer != self._stride - 1:
+            text = self._text(question, answer, confidence)
+        output = self._outputs[key] = _new_tuple(SampleOutput, (text, token_logprobs, _STOP))
         return output
 
     def _judge_response(self, question: int) -> str:
@@ -452,7 +549,7 @@ class SimulatedBackend:
             chunk, offset = divmod(question, _CHUNK)
             memo = self._memo[_LANE_JUDGE][chunk]
             if memo[0] is None:
-                self._fill(_LANE_JUDGE, chunk, (0,))
+                self._fill(_LANE_JUDGE, [(0, chunk, chunk + 1)])
             perceived += _noise(sigma, *memo[0][1][offset])
         return "easy" if min(max(perceived, 0.0), 1.0) > 0.5 else "hard"
 
@@ -462,10 +559,10 @@ class SimulatedBackend:
             raise UnknownQuestionError(request.question_id)
         if request.judge:
             label = self._judge_response(question)
-            return BackendResponse(samples=[SampleOutput(label, (), FinishReason.STOP)] * request.sample_count)
+            return BackendResponse(samples=[SampleOutput(label, (), _STOP)] * request.sample_count)
         # Samples first_sample_index on, in one loop over the question's
         # chunk of the sample lane; the first one not drawn yet draws the
-        # rest of the request with it.
+        # rest of the request's missing ones with it.
         chunk, offset = divmod(question, _CHUNK)
         first = request.first_sample_index
         stop = first + request.sample_count
@@ -480,14 +577,14 @@ class SimulatedBackend:
         for index in range(first, stop):
             entry = memo[index]
             if entry is None:
-                self._fill(_LANE_SAMPLE, chunk, range(index, stop))
+                self._fill(_LANE_SAMPLE, [(i, chunk, chunk + 1) for i in range(index, stop) if memo[i] is None])
                 entry = memo[index]
             answer = entry[0][offset]
             if sigma:
                 token_logprobs, confidence = _sim_signal(p + _noise(sigma, *entry[1][offset]),
                                                          self._world_temperature)
                 samples.append(_new_tuple(
-                    SampleOutput, (self._text(question, answer, confidence), token_logprobs, FinishReason.STOP)
+                    SampleOutput, (self._text(question, answer, confidence), token_logprobs, _STOP)
                 ))
             else:
                 samples.append(outputs[base + answer] or self._shared_output(base + answer))
@@ -846,9 +943,6 @@ class HttpBackend:
         base_url, model, prompt = self.config.base_url, self.config.model, request.prompt
         return [ResponseCache.make_key(base_url, model, prompt, params, i, self.run_seed) for i in sample_indices]
 
-    def _cache_key(self, request: BackendRequest, sample_index: int) -> str:
-        return self._cache_keys(request, (sample_index,))[0]
-
     def _post_with_retries(self, body: bytes) -> dict:
         from urllib3.exceptions import HTTPError
 
@@ -1008,13 +1102,20 @@ def generate_wave(
 
     A request that fails with :class:`BackendError` yields the error in place
     of its response, so a failure touches its own request only; any other
-    exception propagates. When ``backend.max_in_flight`` is 1 or undeclared,
-    each request is sent and yielded before the next one is taken from
-    ``requests``. Otherwise the wave is sent on a thread pool of that width
-    that lives for this call. The yielded sequence is the same either way.
+    exception propagates. A backend that declares ``prepare_wave`` gets the
+    whole wave through it before the first request is sent. When
+    ``backend.max_in_flight`` is 1 or undeclared, each request is sent and
+    yielded before the next one is sent; ``requests`` is only taken whole
+    first for a backend with ``prepare_wave``. Otherwise the wave is sent on
+    a thread pool of that width that lives for this call. The yielded
+    sequence is the same either way.
     """
     width = getattr(backend, "max_in_flight", 1)
+    prepare = getattr(backend, "prepare_wave", None)
     if width <= 1:
+        if prepare is not None:
+            requests = list(requests)
+            prepare(requests)
         generate = backend.generate
         for request in requests:
             try:
@@ -1028,6 +1129,8 @@ def generate_wave(
     batch = list(requests)
     if not batch:
         return
+    if prepare is not None:
+        prepare(batch)
     with ThreadPoolExecutor(max_workers=min(width, len(batch)), thread_name_prefix="uab-wave") as pool:
         yield from zip(batch, pool.map(partial(_generate_or_error, backend), batch))
 

@@ -121,6 +121,8 @@ _NUMBER_RE = re.compile(r"-?\d+(?:,\d{3})*(?:\.\d+)?")
 _INT_RE = re.compile(r"-?\d+")
 _DECIMAL_RE = re.compile(r"-?\d+(?:,\d{3})*\.\d+")
 _OPTION_RE = re.compile(r"\b([A-Ja-j])\b")
+#: Read once per sample: a module constant is cheaper to reach than the member.
+_MULTIPLE_CHOICE = TaskKind.MULTIPLE_CHOICE
 _TRAILING_PUNCT = ".,;:!?"
 
 
@@ -183,7 +185,7 @@ def parse_answer(text: str, task_kind: TaskKind, memo: Optional[Dict[str, str]] 
     """
     if not text:
         return None
-    if task_kind == TaskKind.MULTIPLE_CHOICE:
+    if task_kind == _MULTIPLE_CHOICE:
         letters = _OPTION_RE.findall(text)
         return letters[-1].upper() if letters else None
     span = None

@@ -256,8 +256,9 @@ class TestSimulatedBackend:
                     assert block == np.random.Philox(key=key, counter=[q, lane, index, 0]).random_raw(4).tolist()
 
     class CountingBits:
-        """A bit generator that records the ``(lane, index, chunk)`` and the
-        number of words of each ``random_raw`` call."""
+        """A bit generator that records the ``(lane, index, chunk)`` of the
+        first chunk and the number of words of each ``random_raw`` call; a
+        call must start at a chunk's first question."""
 
         def __init__(self, bits):
             self.bits = bits
@@ -267,8 +268,20 @@ class TestSimulatedBackend:
 
         def random_raw(self, size):
             first, lane, index, _ = self.bits.state["state"]["counter"].tolist()
+            assert first % 64 == 0
             self.reads.append(((lane, index, first // 64), size))
             return self.bits.random_raw(size)
+
+        def chunks(self, m):
+            """The ``(lane, index, chunk)`` of each chunk read, once per read
+            that covers it; a read must cover whole chunks of an
+            ``m``-question world."""
+            covered = []
+            for (lane, index, chunk), size in self.reads:
+                stop = 64 * chunk + size // 4
+                assert stop % 64 == 0 or stop == m
+                covered += [(lane, index, c) for c in range(chunk, -(-stop // 64))]
+            return covered
 
     @pytest.mark.parametrize("sigma, policy", [(0.0, Policy.UAB), (0.15, Policy.LLM_JUDGE)])
     def test_run_reads_each_chunk_it_needs_once(self, sigma, policy):
@@ -277,14 +290,13 @@ class TestSimulatedBackend:
         backend = SimulatedBackend(world, run_seed=2)
         backend._bits = bits = self.CountingBits(backend._bits)
         results = run_two_phase(world.questions, backend, PipelineConfig(budget=BudgetSpec(4, m), policy=policy))
-        chunks = [chunk for chunk, _ in bits.reads]
+        # reads cover whole chunks; the last holds questions 128-149 only
+        chunks = bits.chunks(m)
         assert len(chunks) == len(set(chunks))
         needed = {(1, s, world.index[r.question_id] // 64) for r in results for s in range(r.samples_used)}
         if policy == Policy.LLM_JUDGE:
             needed |= {(2, 0, chunk) for chunk in range(3)}
         assert set(chunks) == needed
-        # the last chunk holds questions 128-149 only
-        assert all(size == 4 * min(64, m - 64 * chunk) for (_, _, chunk), size in bits.reads)
 
     @pytest.mark.parametrize("n", [1, 5, 150])
     def test_one_request_reads_one_chunk_per_sample(self, n):
@@ -296,6 +308,80 @@ class TestSimulatedBackend:
         # more than 64 samples are derived in several numpy passes
         alone = SimulatedBackend(world, run_seed=0)
         assert samples == [one_sample(alone, "q00300", s) for s in range(2, n + 2)]
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.15])
+    def test_prepared_run_reads_each_index_in_one_call(self, sigma, counting):
+        # the sim-batch benchmark's run: M=4000, N=4, uab
+        m = 4000
+        world = SimulatedWorld(WorldConfig(m_questions=m, prob_law=BetaLaw(2.0, 2.0), signal_noise_sigma=sigma,
+                                           rng_seed=1))
+        config = PipelineConfig(budget=BudgetSpec(4, m))
+        backend = SimulatedBackend(world, run_seed=1)
+        backend._bits = bits = self.CountingBits(backend._bits)
+        results = run_two_phase(world.questions, backend, config)
+        # Phase 1 reads lane 1, index 0 for every question in one call; each
+        # Phase-2 index is one call per run of adjacent chunks that need it
+        assert bits.reads[0] == ((1, 0, 0), 4 * m)
+        assert len(bits.reads) == {0.0: 7, 0.15: 9}[sigma]
+        assert len(bits.chunks(m)) == len(set(bits.chunks(m)))
+        # without the hook, each read is one chunk of one index, and the
+        # results are the same
+        unprepared = SimulatedBackend(world, run_seed=1)
+        unprepared._bits = lone_bits = self.CountingBits(unprepared._bits)
+        assert run_two_phase(world.questions, counting(unprepared), config) == results
+        assert all(size <= 4 * 64 for _, size in lone_bits.reads)
+        assert sorted(lone_bits.chunks(m)) == sorted(bits.chunks(m))
+
+    @pytest.mark.parametrize("sigma, rho", [(0.0, 0.0), (0.0, 0.3), (0.15, 0.0), (0.15, 0.3)])
+    def test_prepared_wave_equals_requests_one_at_a_time(self, sigma, rho):
+        world = make_world(m=300, sigma=sigma, rho=rho, seed=8)
+        rng = random.Random(7)
+        phase1 = [BackendRequest(q.id, "p", 1) for q in world.questions]
+        phase2 = [
+            BackendRequest(q.id, "p", rng.randint(1, 70), first_sample_index=rng.randint(1, 3))
+            for q in world.questions
+            if rng.random() < 0.3
+        ]
+        judge = [BackendRequest(q.id, "p", 1, judge=True) for q in world.questions[::9]]
+        for requests in (phase1, phase2, phase1 + phase2):
+            wave = requests + judge
+            rng.shuffle(wave)
+            alone = SimulatedBackend(world, run_seed=1)
+            expected = [alone.generate(r).samples for r in wave]
+            prepared = SimulatedBackend(world, run_seed=1)
+            prepared._bits = bits = self.CountingBits(prepared._bits)
+            # a request for an unknown question is left to its own generate
+            prepared.prepare_wave(wave + [BackendRequest("nope", "p", 3)])
+            drawn = len(bits.reads)
+            assert [prepared.generate(r).samples for r in wave] == expected
+            # the hook drew every value the wave needs, and no chunk twice
+            assert len(bits.reads) == drawn
+            assert len(bits.chunks(300)) == len(set(bits.chunks(300)))
+            waved = SimulatedBackend(world, run_seed=1)
+            assert [response.samples for _, response in generate_wave(waved, wave)] == expected
+
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_generate_wave_prepares_the_whole_wave_first(self, width):
+        class Preparing:
+            max_in_flight = width
+
+            def __init__(self):
+                self.calls = []
+
+            def prepare_wave(self, requests):
+                self.calls.append(("prepare", [r.question_id for r in requests]))
+
+            def generate(self, request):
+                self.calls.append(("generate", request.question_id))
+                return BackendResponse([])
+
+        backend = Preparing()
+        ids = [f"q{i}" for i in range(4)]
+        outcomes = generate_wave(backend, (BackendRequest(qid, "p", 1) for qid in ids))
+        assert [r.question_id for r, _ in outcomes] == ids
+        assert backend.calls[0] == ("prepare", ids)
+        assert sorted(backend.calls[1:]) == [("generate", qid) for qid in ids]
+        assert not hasattr(HttpBackend, "prepare_wave")
 
     @pytest.mark.parametrize("sigma, rho", [(0.0, 0.0), (0.0, 0.5), (0.15, 0.3)])
     def test_wave_equals_requests_one_at_a_time(self, sigma, rho, counting):
@@ -965,7 +1051,7 @@ class TestHttpBackend:
     def test_unusable_cached_logprobs_replay_as_missing(self, stub_server, tmp_path):
         url, state = stub_server
         req = BackendRequest("q1", "p", 1)
-        _plant_entry(tmp_path, _http_backend(url)._cache_key(req, 0), json.dumps({
+        _plant_entry(tmp_path, _http_backend(url)._cache_keys(req, (0,))[0], json.dumps({
             "text": "\\boxed{1}", "token_logprobs": [-0.1, float("-inf")], "finish_reason": "stop",
         }))
         backend = _http_backend(url, cache=ResponseCache(tmp_path))
@@ -979,11 +1065,11 @@ class TestHttpBackend:
         req = BackendRequest("q1", "p", 2)
         uncached = _http_backend(url)
         clean = uncached.generate(req)
-        key = uncached._cache_key(req, 0)
+        key = uncached._cache_keys(req, (0,))[0]
         _plant_entry(tmp_path, key, json.dumps(entry))
         cache = ResponseCache(tmp_path)
         backend = _http_backend(url, cache=cache)
-        cache.put(backend._cache_key(req, 1), clean.samples[1])
+        cache.put(backend._cache_keys(req, (1,))[0], clean.samples[1])
         # the stub answers choice 0 of the one-sample refetch like choice 0 before
         assert backend.generate(req).samples == clean.samples
         assert state.requests[-1][1]["n"] == 1
@@ -1410,7 +1496,7 @@ class TestPhaseWaves:
         cache = ResponseCache(tmp_path)
         clean = _result_lines(questions, _http_backend(url, cache=cache, max_in_flight=4))
         posts = len(state.requests)
-        doomed = _http_backend(url)._cache_key(BackendRequest("w3", questions[3].prompt, 1), 0)
+        doomed = _http_backend(url)._cache_keys(BackendRequest("w3", questions[3].prompt, 1), (0,))[0]
         _rewrite_entry(tmp_path, doomed, json.dumps(entry))
         cache = ResponseCache(tmp_path)
         replay = _result_lines(questions, _http_backend(url, cache=cache, max_in_flight=4))
