@@ -9,18 +9,19 @@ be verified at desk scale without a served model.
 The backend protocol: a backend has a ``generate(request) -> BackendResponse``
 method that raises :class:`BackendError` when a request fails for good, and may
 declare ``max_in_flight``, the number of ``generate`` calls it serves at once.
-:func:`generate_wave` sends a batch of independent requests within that bound;
-a backend that declares no ``max_in_flight`` is called serially. Whatever a
-backend returns comes back through ``generate``, one request at a time: that
-is the one place where a caller sees, counts or times it. A backend may also
-declare ``prepare_wave(requests)``, which :func:`generate_wave` calls with the
-whole wave before its first ``generate``: it may draw ahead only what
-``generate`` would otherwise draw itself, and what ``generate`` returns must
-not depend on whether it ran. The simulator declares it, to read each index a
-wave needs in one pass over adjacent questions; without it, the simulator
-reads its values in chunks of adjacent questions, each once, on first use,
-so its ``generate`` needs nothing but the request. :class:`HttpBackend` does
-not declare it.
+:func:`generate_wave` takes each wave whole, as a list, and sends its
+independent requests within that bound; a backend that declares no
+``max_in_flight`` is called serially. Whatever a backend returns comes back
+through ``generate``, one request at a time: that is the one place where a
+caller sees, counts or times it. A backend may also declare
+``prepare_wave(requests)``, which :func:`generate_wave` calls with the whole
+wave before its first ``generate``, at every width: it may draw ahead only
+what ``generate`` would otherwise draw itself, and what ``generate`` returns
+must not depend on whether it ran. The simulator declares it, to read each
+index a wave needs in one pass over adjacent questions; a request it was not
+given reads what it lacks through the same read planner, so the simulator's
+``generate`` needs nothing but the request. :class:`HttpBackend` does not
+declare it.
 """
 
 from __future__ import annotations
@@ -340,20 +341,21 @@ class SimulatedBackend:
     with :mod:`math` so that transcripts do not depend on numpy's code.
 
     Lanes 1 and 2 are memoised in chunks of ``_CHUNK`` adjacent questions per
-    index, each read once, when first needed, by :meth:`_fill`. Before a wave,
-    :meth:`prepare_wave` reads every chunk the wave needs that the memo lacks:
-    one ``random_raw`` call per index over each run of adjacent chunks, so a
+    index, each read once, when first needed, by :meth:`_fill`; every read
+    comes from one planner, :meth:`_reads`: one ``random_raw`` call per index
+    over each run of adjacent chunks that the memo lacks. Before a wave,
+    :meth:`prepare_wave` plans the reads of every chunk the wave needs, so a
     wave that asks every question for one index, such as Phase 1, reads that
     index in one call (up to ``_CHUNK`` chunks per call). A request whose
-    values are still missing when it is served reads its own chunk, one block
-    row per sample. Either way a value depends on its counter only, so a
-    request's samples depend on the request only, whatever order requests
-    come in and whether the wave was prepared. In a noiseless world a sample
-    depends on its question and answer only: each question's signal and gold
-    text are computed when the backend is built, and the samples live in one
-    table by question and answer, each pair one shared immutable
-    :class:`SampleOutput` built on first use, so a sample costs one lookup in
-    it.
+    values are still missing when it is served plans its own reads, and so
+    reads what ``prepare_wave([request])`` would have. Either way a value
+    depends on its counter only, so a request's samples depend on the request
+    only, whatever order requests come in and whether the wave was prepared.
+    In a noiseless world a sample depends on its question and answer only:
+    each question's signal and gold text are computed when the backend is
+    built, and the samples live in one table by question and answer, each
+    pair one shared immutable :class:`SampleOutput` built on first use, so a
+    sample costs one lookup in it.
     """
 
     #: The one bit generator and the chunk memo are shared by every call, so
@@ -426,11 +428,10 @@ class SimulatedBackend:
         return self._bits.random_raw(4 * count).reshape(-1, 4)
 
     def _fill(self, lane: int, reads: Iterable[Sequence[int]]) -> None:
-        """Put in the memo the values of each read ``(index, lo, hi)``: those
-        that streams ``(q, lane, index)`` give the questions q of chunks
-        ``lo`` to ``hi - 1``, at most ``_CHUNK`` chunks, none of which the
-        memo has values for at that index yet; each chunk's list must reach
-        the index. Each read is one ``random_raw`` call, and reads are
+        """Put in the memo the values of each read ``(index, lo, hi)`` that
+        :meth:`_reads` planned: those that streams ``(q, lane, index)`` give
+        the questions q of chunks ``lo`` to ``hi - 1``. Each read is one
+        ``random_raw`` call, and reads are
         derived together, at most ``_PASS_BLOCKS`` blocks per numpy pass,
         which bounds a pass's memory however many values a wave needs."""
         m = self.world.config.m_questions
@@ -549,7 +550,7 @@ class SimulatedBackend:
             chunk, offset = divmod(question, _CHUNK)
             memo = self._memo[_LANE_JUDGE][chunk]
             if memo[0] is None:
-                self._fill(_LANE_JUDGE, [(0, chunk, chunk + 1)])
+                self._fill(_LANE_JUDGE, self._reads(_LANE_JUDGE, (chunk,)))
             perceived += _noise(sigma, *memo[0][1][offset])
         return "easy" if min(max(perceived, 0.0), 1.0) > 0.5 else "hard"
 
@@ -561,8 +562,8 @@ class SimulatedBackend:
             label = self._judge_response(question)
             return BackendResponse(samples=[SampleOutput(label, (), _STOP)] * request.sample_count)
         # Samples first_sample_index on, in one loop over the question's
-        # chunk of the sample lane; the first one not drawn yet draws the
-        # rest of the request's missing ones with it.
+        # chunk of the sample lane; the first one not drawn yet reads the
+        # rest of the request's missing ones with it, as prepare_wave would.
         chunk, offset = divmod(question, _CHUNK)
         first = request.first_sample_index
         stop = first + request.sample_count
@@ -577,7 +578,8 @@ class SimulatedBackend:
         for index in range(first, stop):
             entry = memo[index]
             if entry is None:
-                self._fill(_LANE_SAMPLE, [(i, chunk, chunk + 1) for i in range(index, stop) if memo[i] is None])
+                width = self._n_chunks
+                self._fill(_LANE_SAMPLE, self._reads(_LANE_SAMPLE, range(index * width + chunk, stop * width, width)))
                 entry = memo[index]
             answer = entry[0][offset]
             if sigma:
@@ -650,22 +652,13 @@ class ResponseCache:
     def __init__(self, directory: Union[str, Path]):
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
-        self.hits = 0
-        self.misses = 0
-        #: Guards the index, the segment and the counters.
+        #: Guards the index and the segment while :meth:`put` writes them.
         self._lock = threading.Lock()
         self._index = self._read_index()
         self._segment: Optional[str] = None
         self._fd: Optional[int] = None
         self._close_segment: Optional[weakref.finalize] = None
         self._size = 0
-
-    def _count(self, hit: bool) -> None:
-        with self._lock:
-            if hit:
-                self.hits += 1
-            else:
-                self.misses += 1
 
     @staticmethod
     def make_key(
@@ -707,7 +700,6 @@ class ResponseCache:
         the next :meth:`put` of its key replaces it."""
         where = self._index.get(key)
         if where is None:
-            self._count(hit=False)
             return None
         path, offset, length = where
         try:
@@ -719,9 +711,7 @@ class ResponseCache:
             sample = _cached_sample(json.loads(data))
         except (OSError, ValueError, OverflowError) as exc:
             logger.warning("cache entry %s unreadable (%s); treating as miss", key, exc)
-            self._count(hit=False)
             return None
-        self._count(hit=True)
         return sample
 
     def put(self, key: str, sample: SampleOutput) -> None:
@@ -1086,9 +1076,9 @@ class HttpBackend:
 
 def _generate_or_error(backend, request: BackendRequest) -> Union[BackendResponse, BackendError]:
     """``backend.generate(request)``, or the :class:`BackendError` it raised,
-    without its traceback: the traceback's frames lead back to the thread
-    pool's work item, which keeps this return value, and that reference cycle
-    would outlive the wave until a garbage collection."""
+    without its traceback: the traceback's frames lead back to a caller that
+    keeps this return value, such as a thread pool's work item, and that
+    reference cycle would outlive the wave until a garbage collection."""
     try:
         return backend.generate(request)
     except BackendError as exc:
@@ -1100,37 +1090,27 @@ def generate_wave(
 ) -> Iterator[Tuple[BackendRequest, Union[BackendResponse, BackendError]]]:
     """Send independent requests; yield ``(request, response)`` in request order.
 
-    A request that fails with :class:`BackendError` yields the error in place
-    of its response, so a failure touches its own request only; any other
-    exception propagates. A backend that declares ``prepare_wave`` gets the
-    whole wave through it before the first request is sent. When
+    A request that fails with :class:`BackendError` yields the error, without
+    its traceback, in place of its response, so a failure touches its own
+    request only; any other exception propagates. ``requests`` is taken
+    whole, as a list, before the first request is sent, and a backend that
+    declares ``prepare_wave`` gets that list through it first. When
     ``backend.max_in_flight`` is 1 or undeclared, each request is sent and
-    yielded before the next one is sent; ``requests`` is only taken whole
-    first for a backend with ``prepare_wave``. Otherwise the wave is sent on
-    a thread pool of that width that lives for this call. The yielded
-    sequence is the same either way.
+    yielded before the next one is sent; otherwise the wave is sent on a
+    thread pool of that width that lives for this call. The yielded sequence
+    is the same either way.
     """
-    width = getattr(backend, "max_in_flight", 1)
+    batch = list(requests)
     prepare = getattr(backend, "prepare_wave", None)
-    if width <= 1:
-        if prepare is not None:
-            requests = list(requests)
-            prepare(requests)
-        generate = backend.generate
-        for request in requests:
-            try:
-                outcome = generate(request)
-            except BackendError as exc:
-                outcome = exc
-            yield request, outcome
+    if prepare is not None:
+        prepare(batch)
+    width = getattr(backend, "max_in_flight", 1)
+    if width <= 1 or not batch:
+        for request in batch:
+            yield request, _generate_or_error(backend, request)
         return
     from concurrent.futures import ThreadPoolExecutor
 
-    batch = list(requests)
-    if not batch:
-        return
-    if prepare is not None:
-        prepare(batch)
     with ThreadPoolExecutor(max_workers=min(width, len(batch)), thread_name_prefix="uab-wave") as pool:
         yield from zip(batch, pool.map(partial(_generate_or_error, backend), batch))
 

@@ -162,11 +162,9 @@ def _nested_span(text: str, begin: int) -> Optional[str]:
     return None
 
 
-def _canonical(span: str, memo: Optional[Dict[str, str]]) -> str:
+def _canonical(span: str, memo: Dict[str, str]) -> str:
     """``canonicalize_answer(span)``, looked up in ``memo`` and added to it on
-    a miss when a memo is given."""
-    if memo is None:
-        return canonicalize_answer(span)
+    a miss."""
     canonical = memo.get(span)
     if canonical is None:
         canonical = memo[span] = canonicalize_answer(span)
@@ -209,14 +207,6 @@ def parse_answer(text: str, task_kind: TaskKind, memo: Optional[Dict[str, str]] 
     return canonical or None
 
 
-def _add_votes(counts: Dict[str, int], answers: Sequence[Optional[str]]) -> None:
-    """Count each answer's vote in ``counts``, which keeps first-vote order;
-    abstentions (None) do not vote."""
-    for answer in answers:
-        if answer is not None:
-            counts[answer] = counts.get(answer, 0) + 1
-
-
 def _winner(counts: Mapping[str, int]) -> str:
     """The answer with the top count; ties break to the byte-order earliest
     string. Raises :class:`NoVotesError` when there are no votes."""
@@ -235,8 +225,10 @@ def majority_vote(parsed_answers: Sequence[Optional[str]]) -> VoteTally:
     Abstentions (None) do not vote. Raises :class:`NoVotesError` when every
     sample abstained.
     """
-    counts: Dict[str, int] = {}
-    _add_votes(counts, parsed_answers)
+    counts: Dict[str, int] = {}  # in first-vote order
+    for answer in parsed_answers:
+        if answer is not None:
+            counts[answer] = counts.get(answer, 0) + 1
     return VoteTally(counts, _winner(counts))
 
 
@@ -432,7 +424,7 @@ def _tally_wave(
     """Send ``requests`` as one wave and count each sample's vote in its
     question's tally as its request comes back.
 
-    A tally keeps first-vote order, as :func:`_add_votes` does. Each sample
+    A tally keeps first-vote order, as :func:`majority_vote`'s does. Each sample
     that did not error is parsed once, with ``memo``; one that errored, or
     whose answer is None, casts no vote, and a failed request adds no
     samples. ``kept``, when given, also keeps each request's samples by

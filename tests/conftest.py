@@ -1,4 +1,5 @@
 import gc
+import threading
 
 import pytest
 
@@ -15,12 +16,17 @@ def collection_left_enabled():
 
 class CountingBackend:
     """A backend seen through its ``generate``: counts the samples that
-    generation requests get back and the judge requests sent."""
+    generation requests get back and the judge requests sent. It passes on
+    the wrapped backend's ``prepare_wave``, when it has one, so a run through
+    it draws as a run without it does."""
 
     def __init__(self, inner):
         self.inner = inner
         self.generation_samples = 0
         self.judge_calls = 0
+        prepare = getattr(inner, "prepare_wave", None)
+        if prepare is not None:
+            self.prepare_wave = prepare
 
     def generate(self, request):
         response = self.inner.generate(request)
@@ -35,6 +41,34 @@ class CountingBackend:
 def counting():
     """Wraps a backend in a :class:`CountingBackend`."""
     return CountingBackend
+
+
+class CountingCache:
+    """A response cache seen through its ``get``: counts the lookups that
+    return a sample (hits) and those that return None (misses)."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.put = inner.put
+        self.hits = 0
+        self.misses = 0
+        # the threads of a wave look samples up at once
+        self._lock = threading.Lock()
+
+    def get(self, key):
+        sample = self.inner.get(key)
+        with self._lock:
+            if sample is None:
+                self.misses += 1
+            else:
+                self.hits += 1
+        return sample
+
+
+@pytest.fixture
+def counting_cache():
+    """Wraps a response cache in a :class:`CountingCache`."""
+    return CountingCache
 
 
 def _cyclic_garbage(run) -> int:

@@ -14,6 +14,7 @@ import urllib.request
 from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -310,7 +311,7 @@ class TestSimulatedBackend:
         assert samples == [one_sample(alone, "q00300", s) for s in range(2, n + 2)]
 
     @pytest.mark.parametrize("sigma", [0.0, 0.15])
-    def test_prepared_run_reads_each_index_in_one_call(self, sigma, counting):
+    def test_prepared_run_reads_each_index_in_one_call(self, sigma):
         # the sim-batch benchmark's run: M=4000, N=4, uab
         m = 4000
         world = SimulatedWorld(WorldConfig(m_questions=m, prob_law=BetaLaw(2.0, 2.0), signal_noise_sigma=sigma,
@@ -328,9 +329,39 @@ class TestSimulatedBackend:
         # results are the same
         unprepared = SimulatedBackend(world, run_seed=1)
         unprepared._bits = lone_bits = self.CountingBits(unprepared._bits)
-        assert run_two_phase(world.questions, counting(unprepared), config) == results
+        hookless = SimpleNamespace(generate=unprepared.generate)
+        assert run_two_phase(world.questions, hookless, config) == results
         assert all(size <= 4 * 64 for _, size in lone_bits.reads)
         assert sorted(lone_bits.chunks(m)) == sorted(bits.chunks(m))
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.15])
+    def test_lone_request_reads_what_its_prepared_wave_reads(self, sigma):
+        world = make_world(m=300, sigma=sigma, rho=0.3, seed=4)
+        # the later requests overlap what the earlier ones read
+        requests = [
+            BackendRequest("q00130", "p", 5, first_sample_index=2),
+            BackendRequest("q00131", "p", 70, first_sample_index=4),
+            BackendRequest("q00010", "p", 3),
+            BackendRequest("q00200", "p", 1, judge=True),
+            BackendRequest("q00201", "p", 1, judge=True),
+        ]
+
+        def fresh():
+            backend = SimulatedBackend(world, run_seed=5)
+            backend._bits = self.CountingBits(backend._bits)
+            return backend
+
+        for sequence in [[r] for r in requests] + [requests]:
+            lone, prepared = fresh(), fresh()
+            for request in sequence:
+                lone.generate(request)
+                prepared.prepare_wave([request])
+                assert prepared._bits.reads == lone._bits.reads
+                prepared.generate(request)
+                assert prepared._bits.reads == lone._bits.reads
+        # only a noisy judge label reads lane 2: one chunk for both labels
+        judged = [read for read in lone._bits.reads if read[0][0] == 2]
+        assert judged == ([((2, 0, 3), 4 * 64)] if sigma else [])
 
     @pytest.mark.parametrize("sigma, rho", [(0.0, 0.0), (0.0, 0.3), (0.15, 0.0), (0.15, 0.3)])
     def test_prepared_wave_equals_requests_one_at_a_time(self, sigma, rho):
@@ -382,6 +413,30 @@ class TestSimulatedBackend:
         assert backend.calls[0] == ("prepare", ids)
         assert sorted(backend.calls[1:]) == [("generate", qid) for qid in ids]
         assert not hasattr(HttpBackend, "prepare_wave")
+
+    @pytest.mark.parametrize("width", [None, 1, 3])
+    def test_generate_wave_takes_the_wave_whole_first(self, width):
+        # a backend without prepare_wave, of any width
+        events = []
+
+        class Plain:
+            def generate(self, request):
+                events.append(("generate", request.question_id))
+                return BackendResponse([])
+
+        backend = Plain()
+        if width is not None:
+            backend.max_in_flight = width
+        ids = [f"q{i}" for i in range(4)]
+
+        def requests():
+            for qid in ids:
+                events.append(("request", qid))
+                yield BackendRequest(qid, "p", 1)
+
+        assert [r.question_id for r, _ in generate_wave(backend, requests())] == ids
+        assert events[:4] == [("request", qid) for qid in ids]
+        assert sorted(events[4:]) == [("generate", qid) for qid in ids]
 
     @pytest.mark.parametrize("sigma, rho", [(0.0, 0.0), (0.0, 0.5), (0.15, 0.3)])
     def test_wave_equals_requests_one_at_a_time(self, sigma, rho, counting):
@@ -494,11 +549,11 @@ class TestJudge:
         assert label.samples[0].text == "easy"
         assert backend.judge_calls == 1
 
-    def test_judge_request_payload_and_cache_key_unmarked(self, stub_server, tmp_path):
+    def test_judge_request_payload_and_cache_key_unmarked(self, stub_server, tmp_path, counting_cache):
         # the judge mark stays out of the POST body and the cache key, so
         # caches written before it existed still replay
         url, state = stub_server
-        cache = ResponseCache(tmp_path)
+        cache = counting_cache(ResponseCache(tmp_path))
         q = QuestionRecord(id="j1", prompt="Is 7 prime?")
         judge_classify_all([q], _http_backend(url, cache=cache))
         _path, body = state.requests[-1]
@@ -544,16 +599,16 @@ class TestResponseCache:
         # the entry is the JSON that the one-file-per-sample layout held
         assert text == json.dumps(entry, ensure_ascii=True)
 
-    def test_missing_key_is_miss(self, tmp_path):
-        cache = ResponseCache(tmp_path)
+    def test_missing_key_is_miss(self, tmp_path, counting_cache):
+        cache = counting_cache(ResponseCache(tmp_path))
         assert cache.get("0" * 64) is None
         assert cache.misses == 1
 
-    def test_stray_per_key_file_is_ignored(self, tmp_path):
+    def test_stray_per_key_file_is_ignored(self, tmp_path, counting_cache):
         key = ResponseCache.make_key("e", "m", "p", {}, 0)
         stray = tmp_path / f"{key}.json"
         stray.write_text(json.dumps({"text": "old", "token_logprobs": [], "finish_reason": "stop"}))
-        cache = ResponseCache(tmp_path)
+        cache = counting_cache(ResponseCache(tmp_path))
         assert cache.get(key) is None
         assert (cache.hits, cache.misses) == (0, 1)
         cache.put(key, SampleOutput("new", (), FinishReason.STOP))
@@ -632,19 +687,20 @@ class TestResponseCache:
         assert cache.get(key).text.startswith("writer ")
         assert list(tmp_path.glob("*.tmp")) == []
 
-    def test_counters_under_concurrent_gets(self, tmp_path):
+    def test_concurrent_gets_return_stored_samples(self, tmp_path):
         cache = ResponseCache(tmp_path)
         present = ResponseCache.make_key("e", "m", "p", {}, 4)
         absent = ResponseCache.make_key("e", "m", "p", {}, 5)
-        cache.put(present, SampleOutput("x", (), FinishReason.STOP))
+        sample = SampleOutput("x", (-0.25,), FinishReason.STOP)
+        cache.put(present, sample)
+        got = []
 
         def get(i):
             for _ in range(250):
-                cache.get(present)
-                cache.get(absent)
+                got.append((cache.get(present), cache.get(absent)))
 
         assert self._hammer(get) == []
-        assert (cache.hits, cache.misses) == (8 * 250, 8 * 250)
+        assert got == [(sample, None)] * (8 * 250)
 
     def test_puts_from_threads_share_one_segment(self, tmp_path):
         cache = ResponseCache(tmp_path)
@@ -660,7 +716,7 @@ class TestResponseCache:
             assert [reader.get(key).text for key in keys] == [f"sample {k}" for k in range(500)]
             assert reader.get(keys[7]).token_logprobs == (-0.1 * 7,)
 
-    def test_processes_write_their_own_segments(self, tmp_path):
+    def test_processes_write_their_own_segments(self, tmp_path, counting_cache):
         import uab
 
         go = tmp_path / "go"
@@ -683,7 +739,7 @@ class TestResponseCache:
                     w.kill()
                     w.wait(timeout=10)
         assert len(_segments(cache_dir)) == 2
-        reader = ResponseCache(cache_dir)
+        reader = counting_cache(ResponseCache(cache_dir))
         for tag in ("a", "b"):
             for i in range(300):
                 assert reader.get(ResponseCache.make_key("e", "m", tag, {}, i)).text == f"{tag} {i}"
@@ -880,7 +936,7 @@ class TestHttpBackend:
         assert body["messages"] == [{"role": "user", "content": "what is 2+2"}]
         assert body["n"] == 3 and body["logprobs"] is True
 
-    def test_cache_keys_cover_the_run_seed(self, stub_server, tmp_path):
+    def test_cache_keys_cover_the_run_seed(self, stub_server, tmp_path, counting_cache):
         url, state = stub_server
         config = _http_backend(url).config
         request = BackendRequest("q1", "p", 2)
@@ -890,7 +946,7 @@ class TestHttpBackend:
             # each seed POSTs its own samples
             assert len(state.requests) == seed + 1
         for seed in (1, 0):
-            cache = ResponseCache(tmp_path)
+            cache = counting_cache(ResponseCache(tmp_path))
             assert HttpBackend(config, cache=cache, run_seed=seed).generate(request) == samples[seed]
             assert (cache.hits, cache.misses) == (2, 0)
         # a rerun of either seed POSTs nothing
@@ -932,9 +988,9 @@ class TestHttpBackend:
         assert all(s.token_logprobs == () for s in resp.samples)
         assert "omitted token logprobs" in caplog.text
 
-    def test_cache_replays_byte_identical(self, stub_server, tmp_path):
+    def test_cache_replays_byte_identical(self, stub_server, tmp_path, counting_cache):
         url, state = stub_server
-        cache = ResponseCache(tmp_path)
+        cache = counting_cache(ResponseCache(tmp_path))
         backend = _http_backend(url, cache=cache)
         req = BackendRequest("q1", "cached prompt", 2, want_logprobs=True)
         first = backend.generate(req)
@@ -1060,14 +1116,14 @@ class TestHttpBackend:
         assert resp.samples[0].token_logprobs == ()
 
     @pytest.mark.parametrize("entry", _MALFORMED_ENTRIES)
-    def test_malformed_cache_entry_is_refetched(self, stub_server, tmp_path, entry):
+    def test_malformed_cache_entry_is_refetched(self, stub_server, tmp_path, entry, counting_cache):
         url, state = stub_server
         req = BackendRequest("q1", "p", 2)
         uncached = _http_backend(url)
         clean = uncached.generate(req)
         key = uncached._cache_keys(req, (0,))[0]
         _plant_entry(tmp_path, key, json.dumps(entry))
-        cache = ResponseCache(tmp_path)
+        cache = counting_cache(ResponseCache(tmp_path))
         backend = _http_backend(url, cache=cache)
         cache.put(backend._cache_keys(req, (1,))[0], clean.samples[1])
         # the stub answers choice 0 of the one-sample refetch like choice 0 before
@@ -1076,12 +1132,12 @@ class TestHttpBackend:
         assert (cache.hits, cache.misses) == (1, 1)
         assert cache.get(key) == clean.samples[0]
 
-    def test_endpoint_that_ignores_n_gets_single_sample_posts(self, stub_server, tmp_path, caplog):
+    def test_endpoint_that_ignores_n_gets_single_sample_posts(self, stub_server, tmp_path, caplog, counting_cache):
         url, state = stub_server
         clean = _http_backend(url).generate(BackendRequest("q1", "p", 3, first_sample_index=2))
         state.requests.clear()
         state.ignore_n = True
-        cache = ResponseCache(tmp_path)
+        cache = counting_cache(ResponseCache(tmp_path))
         backend = _http_backend(url, cache=cache)
         with caplog.at_level(logging.DEBUG, logger="uab.backends"):
             for prompt in ("p", "another prompt"):
@@ -1123,16 +1179,16 @@ class TestHttpBackend:
             _http_backend(url, retries=2).generate(BackendRequest("q1", "p", 1))
         assert len(state.requests) == 3
 
-    def test_failed_request_creates_no_cache_file(self, stub_server, tmp_path):
+    def test_failed_request_creates_no_cache_file(self, stub_server, tmp_path, counting_cache):
         url, state = stub_server
         state.fail_statuses = [500] * 10
-        cache = ResponseCache(tmp_path)
+        cache = counting_cache(ResponseCache(tmp_path))
         with pytest.raises(BackendError, match="HTTP 500"):
             _http_backend(url, cache=cache, retries=1).generate(BackendRequest("q1", "p", 2))
         assert cache.misses == 2
         assert list(tmp_path.iterdir()) == []
 
-    def test_torn_last_line_is_a_miss_for_its_key_only(self, stub_server, tmp_path):
+    def test_torn_last_line_is_a_miss_for_its_key_only(self, stub_server, tmp_path, counting_cache):
         url, state = stub_server
         requests = [BackendRequest("q1", "first prompt", 1), BackendRequest("q2", "second prompt", 1)]
         backend = _http_backend(url, cache=ResponseCache(tmp_path))
@@ -1140,14 +1196,14 @@ class TestHttpBackend:
         [segment] = _segments(tmp_path)
         # the writer stopped in the middle of the second entry
         segment.write_bytes(segment.read_bytes()[:-20])
-        cache = ResponseCache(tmp_path)
+        cache = counting_cache(ResponseCache(tmp_path))
         backend = _http_backend(url, cache=cache)
         assert [backend.generate(r).samples for r in requests] == first
         assert (cache.hits, cache.misses) == (1, 1)
         assert [body["messages"][0]["content"] for _, body in state.requests] == [
             "first prompt", "second prompt", "second prompt",
         ]
-        again = ResponseCache(tmp_path)
+        again = counting_cache(ResponseCache(tmp_path))
         assert [_http_backend(url, cache=again).generate(r).samples for r in requests] == first
         assert (again.hits, again.misses) == (2, 0)
         assert len(state.requests) == 3

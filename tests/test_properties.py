@@ -11,9 +11,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from uab.allocation import ExitKind, ExitMode, ThresholdExitConfig, _heap_greedy, apply_threshold_exits
+from uab.backends import BackendRequest, BackendResponse, SampleOutput
 from uab.config import parse_config_text
-from uab.core import SignalKind, TaskKind, ValidationError, left_sum
-from uab.pipeline import NoVotesError, _add_votes, _winner, canonicalize_answer, majority_vote, parse_answer
+from uab.core import FinishReason, QuestionRecord, SignalKind, TaskKind, ValidationError, left_sum
+from uab.pipeline import NoVotesError, _tally_wave, _winner, canonicalize_answer, majority_vote, parse_answer
 from uab.signals import LOGPROB_SIGNALS, logprob_score, tally_entropy, vote_entropy
 
 #: Fixed examples in a fixed order, and nothing stored between runs.
@@ -214,16 +215,43 @@ def _vote_outcome(vote):
     return list(counts.items()), winner
 
 
+class _SliceBackend:
+    """Serves a request ``sample_count`` of its texts, from the request's
+    ``first_sample_index`` on, as samples."""
+
+    def __init__(self, texts):
+        self.texts = texts
+
+    def generate(self, request):
+        first = request.first_sample_index
+        texts = self.texts[first:first + request.sample_count]
+        return BackendResponse([SampleOutput(text, (), FinishReason.STOP) for text in texts])
+
+
+def _wave_tally(answers, sizes):
+    """The tally that a run's :func:`_tally_wave` counts for one question whose
+    samples box ``answers`` (an empty text for an abstention), sent in
+    requests of ``sizes`` samples and one more for the rest; and those texts."""
+    texts = ["" if a is None else "\\boxed{" + a + "}" for a in answers]
+    requests = []
+    start = 0
+    for size in sizes + [len(texts)]:
+        size = min(size, len(texts) - start)
+        if size:
+            requests.append(BackendRequest("q", "p", size, first_sample_index=start))
+            start += size
+    tallies = {}
+    _tally_wave(_SliceBackend(texts), requests, {"q": QuestionRecord("q", "p")}, tallies, {})
+    return tallies.get("q", {}), texts
+
+
 @_SETTINGS
 @given(_answers, st.lists(st.integers(1, 4), max_size=16))
 def test_running_tally_equals_majority_vote(answers, sizes):
     # the answers arrive request by request, as a run tallies them
-    counts = {}
-    start = 0
-    for size in sizes + [len(answers)]:
-        _add_votes(counts, answers[start:start + size])
-        start += size
-    assert _vote_outcome(lambda: (counts, _winner(counts))) == _vote_outcome(lambda: majority_vote(answers))
+    counts, texts = _wave_tally(answers, sizes)
+    parsed = [parse_answer(text, TaskKind.OPEN_MATH) for text in texts]
+    assert _vote_outcome(lambda: (counts, _winner(counts))) == _vote_outcome(lambda: majority_vote(parsed))
 
 
 @_SETTINGS
@@ -250,10 +278,9 @@ def _entropy_outcome(entropy):
 @_SETTINGS
 @given(_answers)
 def test_tally_entropy_equals_vote_entropy_of_the_answers(answers):
-    # a run's Phase-1 tally, as vote entropy reads it
-    counts = {}
-    _add_votes(counts, answers)
-    votes = [a for a in answers if a is not None]
+    # a run's Phase-1 tally, one request per question, as vote entropy reads it
+    counts, texts = _wave_tally(answers, [len(answers)])
+    votes = [a for a in (parse_answer(text, TaskKind.OPEN_MATH) for text in texts) if a is not None]
     assert _entropy_outcome(lambda: tally_entropy(counts.values())) == _entropy_outcome(lambda: vote_entropy(votes))
 
 
